@@ -6,12 +6,9 @@ from .geom import (
     REJECTED,
     ClipResult,
     ClipWindow,
-    LineEquation,
     Point2,
     Segment,
     contains,
-    x_at,
-    y_at,
 )
 from .clippers import (
     AlgorithmId,
@@ -34,7 +31,6 @@ from .bench import (
     BenchConfig,
     BenchReport,
     RunTiming,
-    gen_segment,
     mean_seconds,
     next_u64,
     parse_report,
@@ -54,7 +50,6 @@ __all__ = [
     "ClipWindow",
     "ExactClipOutcome",
     "HomogeneousLine",
-    "LineEquation",
     "ParamInterval",
     "Point2",
     "REJECTED",
@@ -73,7 +68,6 @@ __all__ = [
     "clip_skala",
     "compute_outcode",
     "contains",
-    "gen_segment",
     "line_coefficients",
     "mean_seconds",
     "next_u64",
@@ -84,6 +78,4 @@ __all__ = [
     "run_verification",
     "speedup_percent",
     "to_double_outcome",
-    "x_at",
-    "y_at",
 ]

@@ -2,10 +2,13 @@
 
 The same seeded segment stream is replayed for every algorithm and every
 repetition, so everything in a report except the wall-clock ``seconds``
-is bit-identical across runs and platforms.  Timing covers the clip
-calls only: segments are materialized into a buffer before the timer
-starts and results are folded into a checksum after it stops.
-One warm-up repetition runs first and is discarded.
+is bit-identical across runs and platforms.  The stream is materialized
+once, one chunk of at most ``CHUNK_SIZE`` segments at a time, and each
+chunk is clipped by every repetition and every algorithm before the next
+one is generated.  Timing covers the clip calls only: generation happens
+before the timer starts and results are folded into a checksum after it
+stops.  A warm-up pass over each chunk runs first and is neither timed
+into the report nor folded.
 """
 
 from __future__ import annotations
@@ -18,12 +21,11 @@ from decimal import ROUND_HALF_EVEN, ROUND_HALF_UP, Decimal
 from hashlib import blake2b
 
 from .clippers import KERNELS, REPORT_COLUMN_ORDER, AlgorithmId
-from .geom import ClipWindow, Point2, Segment
+from .geom import ClipWindow, require_window_in_space
 
 __all__ = [
     "MASK64",
     "next_u64",
-    "gen_segment",
     "BenchConfig",
     "RunTiming",
     "BenchReport",
@@ -57,22 +59,15 @@ def next_u64(state: int) -> tuple[int, int]:
     return z ^ (z >> 31), state
 
 
-def gen_segment(state: int, space: ClipWindow) -> tuple[Segment, int]:
-    """Draw one segment: four u64 values in order (x1, y1, x2, y2), each
-    mapped as coordinate = lo + (u / 2^64) * (hi - lo) in double arithmetic."""
-    u, state = next_u64(state)
-    x1 = space.xmin + (u / _TWO64) * (space.xmax - space.xmin)
-    u, state = next_u64(state)
-    y1 = space.ymin + (u / _TWO64) * (space.ymax - space.ymin)
-    u, state = next_u64(state)
-    x2 = space.xmin + (u / _TWO64) * (space.xmax - space.xmin)
-    u, state = next_u64(state)
-    y2 = space.ymin + (u / _TWO64) * (space.ymax - space.ymin)
-    return Segment(Point2(x1, y1), Point2(x2, y2)), state
-
-
 def _materialize(state: int, space: ClipWindow, count: int):
-    """Buffer of ``count`` coordinate tuples, same stream as gen_segment."""
+    """Next ``count`` segments of the stream as (x1, y1, x2, y2) tuples,
+    and the state to continue from.
+
+    Each segment draws four u64 values in order (x1, y1, x2, y2), each
+    mapped as coordinate = lo + (u / 2^64) * (hi - lo) in double
+    arithmetic.  Calling again with the returned state continues the
+    same stream, which is how the harness chunks it.
+    """
     xlo = space.xmin
     ylo = space.ymin
     xspan = space.xmax - space.xmin
@@ -120,9 +115,7 @@ class BenchConfig:
             raise ValueError("repetitions must be >= 1")
         if not (0 <= self.seed <= MASK64):
             raise ValueError("seed must fit in 64 bits")
-        w, s = self.window, self.space
-        if not (s.xmin <= w.xmin and w.xmax <= s.xmax and s.ymin <= w.ymin and w.ymax <= s.ymax):
-            raise ValueError("window must be contained in the generation space")
+        require_window_in_space(self.window, self.space)
         if not self.algorithms:
             raise ValueError("at least one algorithm is required")
         if len(set(self.algorithms)) != len(self.algorithms):
@@ -224,42 +217,57 @@ def build_report(config: BenchConfig, timings) -> BenchReport:
 
 
 def run_bench(config: BenchConfig) -> BenchReport:
-    """Run the timed protocol: identical pre-materialized segment stream
-    for every algorithm and repetition, one discarded warm-up first."""
+    """Run the timed protocol and check the invariants the report promises.
+
+    Each chunk of the stream is materialized once, then clipped by every
+    repetition (0 is the warm-up, neither timed nor folded) and, within a
+    repetition, by every algorithm.  Each (algorithm, repetition) timer
+    and checksum accumulates across chunks.  Raises RuntimeError when the
+    algorithms disagree on the accepted count or when one algorithm's
+    accepted count or checksum differs between repetitions.
+    """
     wx0, wy0, wx1, wy1 = config.window.bounds()
     kernels = [(algo, KERNELS[algo]) for algo in config.algorithms]
-    n = config.lines_per_run
-    single_chunk = n <= CHUNK_SIZE
-    cached = _materialize(config.seed, config.space, n)[0] if single_chunk else None
+    runs = [(algo, rep) for rep in range(1, config.repetitions + 1) for algo in config.algorithms]
+    elapsed = dict.fromkeys(runs, 0.0)
+    folds = {run: _ResultFold() for run in runs}
 
-    timings: list[RunTiming] = []
     perf = time.perf_counter
-    for rep in range(config.repetitions + 1):  # rep 0 is the warm-up
-        elapsed = {algo: 0.0 for algo in config.algorithms}
-        folds = {algo: _ResultFold() for algo in config.algorithms}
-        state = config.seed
-        remaining = n
-        while remaining:
-            count = min(remaining, CHUNK_SIZE)
-            if single_chunk:
-                buf = cached
-            else:
-                buf, state = _materialize(state, config.space, count)
+    state = config.seed
+    remaining = config.lines_per_run
+    while remaining:
+        count = min(remaining, CHUNK_SIZE)
+        buf, state = _materialize(state, config.space, count)
+        remaining -= count
+        for rep in range(config.repetitions + 1):
             for algo, kernel in kernels:
                 t0 = perf()
                 results = [
                     kernel(ax, ay, bx, by, wx0, wy0, wx1, wy1)
                     for ax, ay, bx, by in buf
                 ]
-                elapsed[algo] += perf() - t0
-                folds[algo].update(results)
-            remaining -= count
-        if rep > 0:
-            for algo in config.algorithms:
-                fold = folds[algo]
-                timings.append(
-                    RunTiming(algo, rep, elapsed[algo], fold.accepted, fold.digest())
-                )
+                dt = perf() - t0
+                if rep:  # rep 0 is the warm-up
+                    elapsed[algo, rep] += dt
+                    folds[algo, rep].update(results)
+
+    timings = []
+    for algo, rep in runs:
+        fold = folds[algo, rep]
+        timings.append(RunTiming(algo, rep, elapsed[algo, rep], fold.accepted, fold.digest()))
+    first_rep = {}
+    for t in timings:
+        ref = first_rep.setdefault(t.algorithm, t)
+        if t.accepted_count != timings[0].accepted_count:
+            raise RuntimeError(
+                f"{t.algorithm.value} rep {t.run_index} accepted {t.accepted_count} segments, "
+                f"{timings[0].algorithm.value} accepted {timings[0].accepted_count}"
+            )
+        if t.checksum != ref.checksum:
+            raise RuntimeError(
+                f"{t.algorithm.value} rep {t.run_index} checksum {t.checksum:016x} "
+                f"differs from rep {ref.run_index} checksum {ref.checksum:016x}"
+            )
     return build_report(config, timings)
 
 

@@ -14,12 +14,10 @@ __all__ = [
     "Point2",
     "Segment",
     "ClipWindow",
-    "LineEquation",
     "ClipResult",
     "REJECTED",
-    "y_at",
-    "x_at",
     "contains",
+    "require_window_in_space",
 ]
 
 
@@ -81,28 +79,6 @@ class ClipWindow:
 
 
 @dataclass(frozen=True, slots=True)
-class LineEquation:
-    """A line through ``origin`` with direction (dx, dy).
-
-    The slope dy/dx is never materialized at construction so vertical
-    lines (dx == 0) carry no manufactured infinities; evaluation
-    functions divide only after the caller has guarded the axis.
-    """
-
-    origin: Point2
-    dx: float
-    dy: float
-
-    def __post_init__(self) -> None:
-        _require_finite("dx", self.dx)
-        _require_finite("dy", self.dy)
-
-    @classmethod
-    def from_segment(cls, seg: Segment) -> "LineEquation":
-        return cls(seg.p1, seg.p2.x - seg.p1.x, seg.p2.y - seg.p1.y)
-
-
-@dataclass(frozen=True, slots=True)
 class ClipResult:
     """Outcome of clipping a segment: the retained part, or rejection."""
 
@@ -116,24 +92,14 @@ class ClipResult:
 REJECTED = ClipResult(None)
 
 
-def y_at(line: LineEquation, x: float) -> float:
-    """y-coordinate of the line at the given x.
-
-    Requires dx != 0; the slope ratio is evaluated lazily right here and
-    nowhere else.
-    """
-    if line.dx == 0:
-        raise ValueError("y_at is undefined for a vertical line (dx == 0)")
-    return line.dy / line.dx * (x - line.origin.x) + line.origin.y
-
-
-def x_at(line: LineEquation, y: float) -> float:
-    """x-coordinate of the line at the given y. Requires dy != 0."""
-    if line.dy == 0:
-        raise ValueError("x_at is undefined for a horizontal line (dy == 0)")
-    return line.dx / line.dy * (y - line.origin.y) + line.origin.x
-
-
 def contains(window: ClipWindow, p: Point2) -> bool:
     """Boundary-inclusive point containment."""
     return window.xmin <= p.x <= window.xmax and window.ymin <= p.y <= window.ymax
+
+
+def require_window_in_space(window: ClipWindow, space: ClipWindow) -> None:
+    """Raise ValueError unless the clip window lies inside the generation
+    space (boundary-inclusive)."""
+    w, s = window, space
+    if not (s.xmin <= w.xmin and w.xmax <= s.xmax and s.ymin <= w.ymin and w.ymax <= s.ymax):
+        raise ValueError("window must be contained in the generation space")

@@ -14,7 +14,7 @@ from math import hypot
 
 from .bench import _materialize
 from .clippers import KERNELS, AlgorithmId
-from .geom import ClipWindow
+from .geom import ClipWindow, require_window_in_space
 from .oracle import clip_exact
 
 __all__ = ["AlgorithmCheck", "VerificationReport", "adversarial_segments", "run_verification"]
@@ -165,9 +165,7 @@ def run_verification(
     """
     if cases < 0:
         raise ValueError("cases must be >= 0")
-    w, s = window, space
-    if not (s.xmin <= w.xmin and w.xmax <= s.xmax and s.ymin <= w.ymin and w.ymax <= s.ymax):
-        raise ValueError("window must be contained in the generation space")
+    require_window_in_space(window, space)
     algorithms = tuple(algorithms) if algorithms else tuple(AlgorithmId)
     kernel_map = dict(KERNELS)
     if kernels:

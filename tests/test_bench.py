@@ -5,7 +5,6 @@ from clipbench.bench import (
     BenchConfig,
     RunTiming,
     build_report,
-    gen_segment,
     mean_seconds,
     next_u64,
     parse_report,
@@ -14,7 +13,7 @@ from clipbench.bench import (
     speedup_percent,
     _materialize,
 )
-from clipbench.clippers import AlgorithmId
+from clipbench.clippers import KERNELS, AlgorithmId
 from clipbench.geom import ClipWindow
 from clipbench.oracle import clip_exact
 
@@ -73,26 +72,26 @@ def test_gen_segment_matches_independent_mapping():
         -960.0 + (us[2] / 2**64) * 1920.0,
         -720.0 + (us[3] / 2**64) * 1440.0,
     )
-    seg, _ = gen_segment(0, SPACE)
-    assert seg.coords() == expected
+    buf, _ = _materialize(0, SPACE, 1)
+    assert buf == [expected]
 
 
 def test_gen_segment_coordinates_in_range():
-    state = 99
-    for _ in range(500):
-        seg, state = gen_segment(state, SPACE)
-        for x, y in ((seg.p1.x, seg.p1.y), (seg.p2.x, seg.p2.y)):
+    buf, _ = _materialize(99, SPACE, 500)
+    for x1, y1, x2, y2 in buf:
+        for x, y in ((x1, y1), (x2, y2)):
             assert SPACE.xmin <= x < SPACE.xmax
             assert SPACE.ymin <= y < SPACE.ymax
 
 
 def test_materialized_buffer_matches_gen_segment_stream():
-    buf, end_state = _materialize(7, SPACE, 50)
-    state = 7
-    for coords in buf:
-        seg, state = gen_segment(state, SPACE)
-        assert seg.coords() == coords
-    assert state == end_state
+    # Chunking relies on this: a buffer continued from the returned state
+    # is the next part of the same stream, and ends in the same state.
+    head, mid_state = _materialize(7, SPACE, 30)
+    tail, end_state = _materialize(mid_state, SPACE, 20)
+    whole, whole_state = _materialize(7, SPACE, 50)
+    assert head + tail == whole
+    assert end_state == whole_state
 
 
 # ---------------------------------------------------------------------------
@@ -209,12 +208,59 @@ def test_determinism_everything_but_seconds():
 def test_multi_chunk_run_matches_single_chunk_counts(monkeypatch):
     import clipbench.bench as bench_mod
 
-    cfg = BenchConfig(lines_per_run=3000, repetitions=1, seed=9)
+    generated = []
+
+    def counting_materialize(state, space, count):
+        buf, state = _materialize(state, space, count)
+        generated.append(len(buf))
+        return buf, state
+
+    monkeypatch.setattr(bench_mod, "_materialize", counting_materialize)
+    cfg = BenchConfig(lines_per_run=3000, repetitions=2, seed=9)
     whole = run_bench(cfg)
+    assert generated == [3000]
+    generated.clear()
     monkeypatch.setattr(bench_mod, "CHUNK_SIZE", 1000)
     chunked = run_bench(cfg)
-    key = lambda r: [(t.algorithm, t.accepted_count, t.checksum) for t in r.timings]
+    # The stream is generated once per run, not once per repetition.
+    assert generated == [1000, 1000, 1000]
+    key = lambda r: [(t.algorithm, t.run_index, t.accepted_count, t.checksum) for t in r.timings]
     assert key(whole) == key(chunked)
+    assert len(key(chunked)) == 7 * 2
+
+
+def _with_proposed_kernel(monkeypatch, kernel):
+    import clipbench.bench as bench_mod
+
+    monkeypatch.setattr(bench_mod, "KERNELS", {**KERNELS, AlgorithmId.PROPOSED: kernel})
+
+
+def test_disagreeing_accepted_counts_raise(monkeypatch):
+    _with_proposed_kernel(monkeypatch, lambda *args: None)
+    cfg = BenchConfig(lines_per_run=500, repetitions=2, seed=4)
+    with pytest.raises(RuntimeError, match="Proposed rep 1 accepted 0"):
+        run_bench(cfg)
+
+
+def test_checksum_changing_between_reps_raises(monkeypatch):
+    # Clips like Proposed over the warm-up and the first repetition, then
+    # nudges every accepted endpoint: accepted counts still agree, but the
+    # second repetition's checksum differs from the first.
+    real = KERNELS[AlgorithmId.PROPOSED]
+    lines = 500
+    calls = [0]
+
+    def drifting(*args):
+        calls[0] += 1
+        r = real(*args)
+        if r is None or calls[0] <= 2 * lines:
+            return r
+        return tuple(v + 1e-6 for v in r)
+
+    _with_proposed_kernel(monkeypatch, drifting)
+    cfg = BenchConfig(lines_per_run=lines, repetitions=2, seed=4)
+    with pytest.raises(RuntimeError, match="Proposed rep 2 checksum"):
+        run_bench(cfg)
 
 
 # ---------------------------------------------------------------------------

@@ -158,12 +158,14 @@ def test_bench_algorithm_subset_and_out_file(capsys, tmp_path):
 
 
 def test_bench_window_outside_space_exits_2(capsys):
-    code, _, err = run_cli(
-        capsys, "bench", "--lines", "10", "--reps", "1",
-        "--space", "-10", "-10", "10", "10", "--window", "-100", "-75", "100", "75",
-    )
-    assert code == 2
-    assert "contained" in err
+    # verify shares the check, so it rides along as a second input.
+    for command, size in (("bench", "--lines"), ("verify", "--cases")):
+        code, _, err = run_cli(
+            capsys, command, size, "10",
+            "--space", "-10", "-10", "10", "10", "--window", "-100", "-75", "100", "75",
+        )
+        assert code == 2, command
+        assert "contained" in err, command
 
 
 def test_bench_zero_lines_exits_2(capsys):

@@ -1,50 +1,10 @@
 import math
 
 import pytest
-from hypothesis import given, strategies as st
 
-from clipbench.geom import (
-    ClipWindow,
-    LineEquation,
-    Point2,
-    Segment,
-    contains,
-    x_at,
-    y_at,
-)
+from clipbench.geom import ClipWindow, Point2, Segment, contains, require_window_in_space
 
 W = ClipWindow(-100, -75, 100, 75)
-
-
-def line(x1, y1, x2, y2):
-    return LineEquation.from_segment(Segment.of(x1, y1, x2, y2))
-
-
-def test_y_at_slope_one_through_origin():
-    assert y_at(line(0, 0, 400, 400), -100) == -100
-
-
-def test_y_at_hand_evaluated():
-    # 0 + (200/200) * (-100 + 200) and 0 + (80/400) * (-100 + 200)
-    assert y_at(line(-200, 0, 0, 200), -100) == pytest.approx(100, abs=1e-9)
-    assert y_at(line(-200, 0, 200, 80), -100) == pytest.approx(20, abs=1e-9)
-
-
-def test_x_at_slope_one():
-    assert x_at(line(0, 0, 400, 400), 75) == 75
-
-
-def test_x_at_hand_evaluated():
-    # -200 + (200/-200) * (75 - 200) and the symmetric main diagonal
-    assert x_at(line(-200, 200, 0, 0), 75) == pytest.approx(-75, abs=1e-9)
-    assert x_at(line(-200, -200, 200, 200), -75) == pytest.approx(-75, abs=1e-9)
-
-
-def test_vertical_and_horizontal_evaluations_are_contract_violations():
-    with pytest.raises(ValueError):
-        y_at(line(3, 0, 3, 7), 5)
-    with pytest.raises(ValueError):
-        x_at(line(0, 5, 10, 5), 5)
 
 
 def test_contains_examples():
@@ -57,6 +17,12 @@ def test_all_corners_are_inside():
     for x in (W.xmin, W.xmax):
         for y in (W.ymin, W.ymax):
             assert contains(W, Point2(x, y))
+
+
+def test_window_in_space_is_boundary_inclusive():
+    require_window_in_space(W, W)
+    with pytest.raises(ValueError, match="contained in the generation space"):
+        require_window_in_space(ClipWindow(-100, -75, 100, 75.5), W)
 
 
 def test_point_rejects_non_finite():
@@ -82,36 +48,3 @@ def test_degenerate_segment_is_legal():
     s = Segment.of(5, 5, 5, 5)
     assert s.p1 == s.p2
 
-
-coords = st.floats(-2000, 2000, allow_nan=False, allow_infinity=False)
-
-
-@st.composite
-def sloped_lines(draw, min_slope=1e-6, max_slope=1e6):
-    x1 = draw(coords)
-    y1 = draw(coords)
-    dx = draw(st.floats(1, 2000))
-    dy = dx * draw(st.floats(min_slope, max_slope))
-    if draw(st.booleans()):
-        dx = -dx
-    if draw(st.booleans()):
-        dy = -dy
-    return LineEquation(Point2(x1, y1), dx, dy)
-
-
-@given(sloped_lines(min_slope=0.01, max_slope=100), coords)
-def test_xy_round_trip(ln, x):
-    # Quantified over slopes within two decades of 1: inverting the slope
-    # amplifies the y rounding error by 1/|m|, so the 1e-9 round-trip
-    # tolerance is a conditioning statement, not an unconditional one.
-    x_back = x_at(ln, y_at(ln, x))
-    assert math.isclose(x_back, x, rel_tol=1e-9, abs_tol=1e-9)
-
-
-@given(sloped_lines(), coords)
-def test_y_at_point_stays_on_line(ln, x):
-    y = y_at(ln, x)
-    assert math.isfinite(y)
-    residual = abs(ln.dy * (x - ln.origin.x) - ln.dx * (y - ln.origin.y))
-    bound = 1e-6 * max(abs(ln.dx), abs(ln.dy)) * max(1.0, abs(x - ln.origin.x))
-    assert residual <= bound
