@@ -29,6 +29,7 @@ from .clippers import (
 from .oracle import ExactClipOutcome, clip_exact, to_double_outcome
 from .bench import (
     BenchConfig,
+    BenchInvariantError,
     BenchReport,
     RunTiming,
     mean_seconds,
@@ -45,6 +46,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AlgorithmId",
     "BenchConfig",
+    "BenchInvariantError",
     "BenchReport",
     "ClipResult",
     "ClipWindow",

@@ -27,6 +27,7 @@ __all__ = [
     "MASK64",
     "next_u64",
     "BenchConfig",
+    "BenchInvariantError",
     "RunTiming",
     "BenchReport",
     "run_bench",
@@ -216,15 +217,19 @@ def build_report(config: BenchConfig, timings) -> BenchReport:
     return BenchReport(config, timings, averages, speedups)
 
 
+class BenchInvariantError(RuntimeError):
+    """A bench run broke an invariant its report promises."""
+
+
 def run_bench(config: BenchConfig) -> BenchReport:
     """Run the timed protocol and check the invariants the report promises.
 
     Each chunk of the stream is materialized once, then clipped by every
     repetition (0 is the warm-up, neither timed nor folded) and, within a
     repetition, by every algorithm.  Each (algorithm, repetition) timer
-    and checksum accumulates across chunks.  Raises RuntimeError when the
-    algorithms disagree on the accepted count or when one algorithm's
-    accepted count or checksum differs between repetitions.
+    and checksum accumulates across chunks.  Raises BenchInvariantError
+    when the algorithms disagree on the accepted count or when one
+    algorithm's accepted count or checksum differs between repetitions.
     """
     wx0, wy0, wx1, wy1 = config.window.bounds()
     kernels = [(algo, KERNELS[algo]) for algo in config.algorithms]
@@ -259,12 +264,12 @@ def run_bench(config: BenchConfig) -> BenchReport:
     for t in timings:
         ref = first_rep.setdefault(t.algorithm, t)
         if t.accepted_count != timings[0].accepted_count:
-            raise RuntimeError(
+            raise BenchInvariantError(
                 f"{t.algorithm.value} rep {t.run_index} accepted {t.accepted_count} segments, "
                 f"{timings[0].algorithm.value} accepted {timings[0].accepted_count}"
             )
         if t.checksum != ref.checksum:
-            raise RuntimeError(
+            raise BenchInvariantError(
                 f"{t.algorithm.value} rep {t.run_index} checksum {t.checksum:016x} "
                 f"differs from rep {ref.run_index} checksum {ref.checksum:016x}"
             )

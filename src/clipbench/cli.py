@@ -1,7 +1,8 @@
 """Command-line front end: clip one segment, run benchmarks, verify
 all clippers against the exact oracle.
 
-Exit codes: 0 success, 1 verification mismatch, 2 usage or config error.
+Exit codes: 0 success, 1 verification mismatch or broken bench invariant,
+2 usage or config error.
 All flags take the window and space as ascending bounds
 (xmin ymin xmax ymax), i.e. lower-left corner then upper-right corner.
 """
@@ -12,7 +13,7 @@ import argparse
 import math
 import sys
 
-from .bench import BenchConfig, render_report, run_bench
+from .bench import BenchConfig, BenchInvariantError, render_report, run_bench
 from .clippers import CLIPPERS, AlgorithmId
 from .geom import ClipWindow, Point2, Segment
 from .verify import run_verification
@@ -140,8 +141,6 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if args.tolerance < 0:
-        raise ValueError("tolerance must be >= 0")
     report = run_verification(
         cases=args.cases,
         seed=args.seed,
@@ -186,6 +185,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BenchInvariantError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 def run() -> None:

@@ -1,10 +1,12 @@
 """Exact rational reference clipper used as ground truth in tests.
 
-Inputs are lifted losslessly to rationals (every double is exactly
-representable), scaled to a common integer grid, and clipped with the
-parametric interval method over arbitrary-precision integers.  The
-method is deliberately different from all seven production clippers so
-its failure modes are independent of the code under test.
+Inputs are lifted losslessly to rationals through their exact
+``as_integer_ratio()``, so coordinates may be floats (every double is
+exactly representable), ints, Fractions or Decimals.  They are scaled to
+a common integer grid and clipped with the parametric interval method
+over arbitrary-precision integers.  The method is deliberately different
+from all seven production clippers so its failure modes are independent
+of the code under test.
 
 A ``grazing`` flag marks the measure-zero inputs where floating-point
 clippers may legitimately disagree with each other: results that
@@ -17,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import lcm
 from typing import Optional
 
@@ -37,17 +40,13 @@ class ExactClipOutcome:
     p2: Optional[RationalPoint] = None
 
 
-def _ratio(value) -> tuple[int, int]:
-    # Exact (numerator, denominator) for float, int, Fraction or Decimal.
-    if isinstance(value, float):
-        return value.as_integer_ratio()
-    if isinstance(value, int):
-        return value, 1
-    f = Fraction(value)
-    return f.numerator, f.denominator
+# Rejects carry no endpoints, so every reject shares one of these two
+# frozen instances instead of building a new one per case.
+_REJECT = ExactClipOutcome(False, False)
+_REJECT_GRAZING = ExactClipOutcome(False, True)
 
 
-def _lift(obj, kind) -> tuple[tuple[int, int], ...]:
+def _coords(obj, kind) -> tuple:
     if isinstance(obj, Segment):
         vals = obj.coords()
     elif isinstance(obj, ClipWindow):
@@ -56,7 +55,25 @@ def _lift(obj, kind) -> tuple[tuple[int, int], ...]:
         vals = tuple(obj)
     if len(vals) != 4:
         raise ValueError(f"{kind} must provide exactly 4 coordinates")
-    return tuple(_ratio(v) for v in vals)
+    return vals
+
+
+@lru_cache(maxsize=32)
+def _lift_window(bounds) -> tuple[int, int, int, int, int]:
+    """Window bounds as integers over their least common denominator WL,
+    plus WL.
+
+    Cached per distinct bounds tuple.  A hit is exact: numerically equal
+    keys have equal reduced ratios, whatever their numeric types.  A bad
+    window raises on every call, because exceptions are not cached.
+    """
+    ratios = [v.as_integer_ratio() for v in bounds]
+    WL = lcm(*(d for _, d in ratios))
+    xmin, ymin, xmax, ymax = (n * (WL // d) for n, d in ratios)
+    # Scaling by the positive per-case factor L // WL keeps this order.
+    if not (xmin < xmax and ymin < ymax):
+        raise ValueError("window bounds must satisfy xmin < xmax and ymin < ymax")
+    return xmin, ymin, xmax, ymax, WL
 
 
 def _interval_ints(X1, Y1, DX, DY, XMIN, YMIN, XMAX, YMAX):
@@ -117,21 +134,25 @@ def clip_exact(seg, window) -> ExactClipOutcome:
 
     ``seg`` is a Segment or any 4-sequence (x1, y1, x2, y2); ``window``
     is a ClipWindow or any 4-sequence (xmin, ymin, xmax, ymax).
-    Coordinates may be floats, ints or Fractions.
+    Coordinates may be of any type with an exact ``as_integer_ratio()``:
+    float, int, Fraction or Decimal.
     """
-    (x1n, x1d), (y1n, y1d), (x2n, x2d), (y2n, y2d) = _lift(seg, "segment")
-    (wx0n, wx0d), (wy0n, wy0d), (wx1n, wx1d), (wy1n, wy1d) = _lift(window, "window")
-    L = lcm(x1d, y1d, x2d, y2d, wx0d, wy0d, wx1d, wy1d)
+    x1, y1, x2, y2 = _coords(seg, "segment")
+    wx0, wy0, wx1, wy1, WL = _lift_window(_coords(window, "window"))
+    x1n, x1d = x1.as_integer_ratio()
+    y1n, y1d = y1.as_integer_ratio()
+    x2n, x2d = x2.as_integer_ratio()
+    y2n, y2d = y2.as_integer_ratio()
+    L = lcm(x1d, y1d, x2d, y2d, WL)
     X1 = x1n * (L // x1d)
     Y1 = y1n * (L // y1d)
     X2 = x2n * (L // x2d)
     Y2 = y2n * (L // y2d)
-    XMIN = wx0n * (L // wx0d)
-    YMIN = wy0n * (L // wy0d)
-    XMAX = wx1n * (L // wx1d)
-    YMAX = wy1n * (L // wy1d)
-    if not (XMIN < XMAX and YMIN < YMAX):
-        raise ValueError("window bounds must satisfy xmin < xmax and ymin < ymax")
+    k = L // WL
+    XMIN = wx0 * k
+    YMIN = wy0 * k
+    XMAX = wx1 * k
+    YMAX = wy1 * k
 
     DX = X2 - X1
     DY = Y2 - Y1
@@ -140,12 +161,13 @@ def clip_exact(seg, window) -> ExactClipOutcome:
         if XMIN <= X1 <= XMAX and YMIN <= Y1 <= YMAX:
             p = (Fraction(X1, L), Fraction(Y1, L))
             return ExactClipOutcome(True, True, p, p)
-        return ExactClipOutcome(False, False)
+        return _REJECT
 
     iv = _interval_ints(X1, Y1, DX, DY, XMIN, YMIN, XMAX, YMAX)
     if iv is None:
-        grazing = _line_touches_single_point(X1, Y1, DX, DY, XMIN, YMIN, XMAX, YMAX)
-        return ExactClipOutcome(False, grazing)
+        if _line_touches_single_point(X1, Y1, DX, DY, XMIN, YMIN, XMAX, YMAX):
+            return _REJECT_GRAZING
+        return _REJECT
 
     t0n, t0d, t1n, t1d = iv
     p1 = (Fraction(X1 * t0d + t0n * DX, t0d * L), Fraction(Y1 * t0d + t0n * DY, t0d * L))

@@ -10,7 +10,7 @@ agreement, but an accepted grazing result must still land inside the
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import hypot
+from math import hypot, isfinite
 
 from .bench import _materialize
 from .clippers import KERNELS, AlgorithmId
@@ -160,17 +160,24 @@ def run_verification(
 ) -> VerificationReport:
     """Sweep ``cases`` seeded segments plus the adversarial suite.
 
+    Raises ValueError for negative ``cases``, a ``tolerance`` that is not
+    finite and >= 0 (NaN would silently disable the endpoint comparison),
+    or a window outside the space.
+
     ``kernels`` may override individual algorithm kernels, which is how
     the harness itself is tested against deliberately broken clippers.
     """
     if cases < 0:
         raise ValueError("cases must be >= 0")
+    if not (isfinite(tolerance) and tolerance >= 0):
+        raise ValueError(f"tolerance must be finite and >= 0, got {tolerance!r}")
     require_window_in_space(window, space)
     algorithms = tuple(algorithms) if algorithms else tuple(AlgorithmId)
     kernel_map = dict(KERNELS)
     if kernels:
         kernel_map.update(kernels)
-    kernel_items = [(a, kernel_map[a]) for a in algorithms]
+    checks = [AlgorithmCheck(a) for a in algorithms]
+    kernel_checks = [(kernel_map[check.algorithm], check) for check in checks]
 
     x0, y0, x1, y1 = window.bounds()
     wbounds = (x0, y0, x1, y1)
@@ -179,30 +186,30 @@ def run_verification(
 
     random_buf, _ = _materialize(seed, space, cases)
     suite = adversarial_segments(window)
-    checks = {a: AlgorithmCheck(a) for a in algorithms}
     random_grazing = 0
 
     for idx, seg in enumerate(random_buf + suite):
         sx1, sy1, sx2, sy2 = seg
         exact = clip_exact(seg, wbounds)
-        if exact.grazing and idx < cases:
+        grazing = exact.grazing
+        accepted = exact.accepted
+        if grazing and idx < cases:
             random_grazing += 1
-        if exact.accepted:
+        if accepted:
             gx1 = float(exact.p1[0])
             gy1 = float(exact.p1[1])
             gx2 = float(exact.p2[0])
             gy2 = float(exact.p2[1])
-        for algo, kernel in kernel_items:
+        for kernel, check in kernel_checks:
             res = kernel(sx1, sy1, sx2, sy2, x0, y0, x1, y1)
-            check = checks[algo]
-            if exact.grazing:
+            if grazing:
                 if res is not None and not _grazing_accept_valid(
                     res, seg, x0, y0, x1, y1, pad, tolerance
                 ):
                     check.fail(seg, "grazing accept violates containment or collinearity")
                 else:
                     check.grazing_exempt += 1
-            elif not exact.accepted:
+            elif not accepted:
                 if res is None:
                     check.matches += 1
                 else:
@@ -219,4 +226,4 @@ def run_verification(
             else:
                 check.matches += 1
 
-    return VerificationReport(cases, len(suite), random_grazing, [checks[a] for a in algorithms])
+    return VerificationReport(cases, len(suite), random_grazing, checks)

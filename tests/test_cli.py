@@ -1,5 +1,7 @@
 import re
 
+import pytest
+
 from clipbench.cli import format_double, main
 from clipbench.clippers import AlgorithmId
 from clipbench.geom import ClipWindow
@@ -168,6 +170,17 @@ def test_bench_window_outside_space_exits_2(capsys):
         assert "contained" in err, command
 
 
+def test_bench_broken_invariant_exits_1_without_traceback(capsys, monkeypatch):
+    import clipbench.bench as bench_mod
+    from clipbench.clippers import KERNELS
+
+    monkeypatch.setattr(bench_mod, "KERNELS", {**KERNELS, AlgorithmId.PROPOSED: lambda *a: None})
+    code, _, err = run_cli(capsys, "bench", "--lines", "200", "--reps", "2")
+    assert code == 1
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
 def test_bench_zero_lines_exits_2(capsys):
     code, _, _ = run_cli(capsys, "bench", "--lines", "0", "--reps", "1")
     assert code == 2
@@ -196,6 +209,13 @@ def test_verify_zero_cases_runs_adversarial_suite_only(capsys):
 def test_verify_negative_cases_exits_2(capsys):
     code, _, _ = run_cli(capsys, "verify", "--cases", "-5")
     assert code == 2
+
+
+@pytest.mark.parametrize("tolerance", ["-1", "nan", "inf"])
+def test_verify_tolerance_not_finite_and_nonnegative_exits_2(capsys, tolerance):
+    code, _, err = run_cli(capsys, "verify", "--cases", "10", "--tolerance", tolerance)
+    assert code == 2
+    assert "tolerance" in err
 
 
 def test_injected_bug_is_caught():

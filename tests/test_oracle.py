@@ -1,11 +1,13 @@
 import math
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from clipbench.geom import ClipWindow, Segment
-from clipbench.oracle import clip_exact, to_double_outcome
+from clipbench.oracle import _lift_window, clip_exact, to_double_outcome
+from clipbench.verify import adversarial_segments
 
 W = (-100, -75, 100, 75)
 
@@ -53,14 +55,71 @@ def test_endpoint_on_boundary_is_grazing():
 
 
 def test_invalid_window_raises():
-    with pytest.raises(ValueError):
-        clip_exact((0, 0, 1, 1), (5, 0, 5, 10))
+    # Twice: a cached window lift must not turn the second call into a hit.
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            clip_exact((0, 0, 1, 1), (5, 0, 5, 10))
 
 
 def test_accepts_segment_and_window_objects():
     o = clip_exact(Segment.of(-200, -200, 200, 200), ClipWindow(*W))
     assert o.accepted
     assert o.p1 == (Fraction(-75), Fraction(-75))
+
+
+SUITE = adversarial_segments(ClipWindow(*W)) + [
+    (-200.5, -199.25, 200.125, 201.75),
+    (-175, 0, -150, 25),
+    (0.1, 0.2, 130.3, -80.7),
+]
+
+
+@pytest.mark.parametrize("bounds", [W, (-100.5, -75.25, 100.125, 75.75)], ids=["int", "fractional"])
+@pytest.mark.parametrize(
+    "form",
+    [
+        lambda b: ClipWindow(*b),
+        lambda b: tuple(float(v) for v in b),
+        list,
+        lambda b: tuple(Fraction(v) for v in b),
+        lambda b: tuple(Decimal(v) for v in b),
+    ],
+    ids=["ClipWindow", "float-tuple", "list", "Fraction", "Decimal"],
+)
+def test_window_forms_give_the_same_outcomes(bounds, form):
+    # Equal bounds share one cache entry whatever their types, so lift
+    # this form cold, then compare against the plain tuple both cold and
+    # as a cache hit.
+    _lift_window.cache_clear()
+    got = [clip_exact(seg, form(bounds)) for seg in SUITE]
+    assert got == [clip_exact(seg, bounds) for seg in SUITE]
+    _lift_window.cache_clear()
+    assert got == [clip_exact(seg, bounds) for seg in SUITE]
+
+
+def test_more_windows_than_the_cache_holds():
+    windows = [
+        (Fraction(k, 3) - 100, -75, 100 + Fraction(k, 7), Fraction(75, k + 1))
+        for k in range(_lift_window.cache_info().maxsize + 5)
+    ]
+    segs = SUITE[::5]
+    first = {}
+    for w in windows:
+        _lift_window.cache_clear()
+        first[w] = [clip_exact(seg, w) for seg in segs]
+    for _ in range(2):
+        for w in windows:
+            assert [clip_exact(seg, w) for seg in segs] == first[w]
+
+
+def test_decimal_segment_matches_equal_fractions():
+    for seg in SUITE:
+        as_fractions = clip_exact(tuple(Fraction(v) for v in seg), W)
+        as_decimals = clip_exact(tuple(Decimal(v) for v in seg), W)
+        assert as_decimals == as_fractions
+    o = clip_exact((Decimal("-200.5"), Decimal("0.1"), Decimal("200.25"), Decimal("0.1")), W)
+    assert o.accepted and not o.grazing
+    assert o.p1 == (Fraction(-100), Fraction(1, 10))
 
 
 def test_to_double_outcome_examples():

@@ -24,6 +24,28 @@ def test_random_sweep_and_adversarial_suite_have_no_mismatches():
         assert check.matches + check.grazing_exempt == 5000 + report.adversarial_cases
 
 
+# The tallies the benchmark's verify_sweep workload fingerprints at seed 7:
+# 5000 cases at the default window and with space and window translated
+# by 1e6.  ROADMAP item 3 (the Skala cancellation fix) is expected to
+# change the Skala and KWC rows of the far-origin tallies.
+FAR_ORIGIN_TALLIES = {
+    AlgorithmId.SKALA: (4209, 33, 813),
+    AlgorithmId.KWC: (5020, 33, 2),
+}
+
+
+@pytest.mark.parametrize("shift", [0.0, 1e6])
+def test_seed_7_tallies_at_default_and_far_origin(shift):
+    space = ClipWindow(*(v + shift for v in SPACE.bounds()))
+    window = ClipWindow(*(v + shift for v in WINDOW.bounds()))
+    report = run_verification(5000, 7, space, window)
+    expected = FAR_ORIGIN_TALLIES if shift else {}
+    assert report.random_grazing == 0
+    assert {c.algorithm: (c.matches, c.grazing_exempt, c.mismatches) for c in report.checks} == {
+        a: expected.get(a, (5022, 33, 0)) for a in AlgorithmId
+    }
+
+
 def test_adversarial_suite_covers_the_stress_families():
     suite = adversarial_segments(WINDOW)
     assert len(suite) >= 40
