@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import re
 import sys
 
 from .bench import BenchConfig, BenchInvariantError, render_report, run_bench
@@ -57,6 +58,20 @@ def _parse_algorithms(spec: str) -> tuple[AlgorithmId, ...]:
     return tuple(_parse_algorithm(part) for part in spec.split(",") if part)
 
 
+class _Parser(argparse.ArgumentParser):
+    """ArgumentParser that reads a negative number in exponent form, such
+    as -7.5e-05, as a value rather than as an unknown option flag.
+    argparse's own pattern, as of Python 3.11, matches -7 and -0.5 but
+    not -7.5e-05.  Subparsers inherit the class.
+    """
+
+    _NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = self._NEGATIVE_NUMBER
+
+
 def _window_arg(parser, name, default, text):
     parser.add_argument(
         name,
@@ -69,7 +84,7 @@ def _window_arg(parser, name, default, text):
 
 
 def _make_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="clipbench",
         description="2D line clipping: seven algorithms, an exact oracle, a benchmark harness.",
     )

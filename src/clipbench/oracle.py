@@ -13,6 +13,22 @@ clippers may legitimately disagree with each other: results that
 degenerate to a single point, segments lying exactly on a boundary edge
 line, segment endpoints lying exactly on the boundary, and supporting
 lines that touch the closed window in exactly one point.
+
+One fast path skips the integer lift.  When all eight coordinates are
+exact ``float`` instances and both endpoints lie strictly beyond the
+same window side, plain float comparisons already prove the reject.
+Its grazing flag then depends only on whether the supporting line
+passes through a window corner, and Shewchuk's filtered orient2d
+predicate (Adaptive Precision Floating-Point Arithmetic and Fast Robust
+Geometric Predicates, 1997) certifies in floats that it passes through
+none.  Only a certified case returns early, as a non-grazing reject.
+Every other case takes the integer path: accepts, rejects that are not
+trivially outside one side, orientations too close to zero for the
+error bound, underflow-scale, infinite or NaN values, and every
+non-float input.  So the outcome is the exact one either way.  The
+fast path tests what Cohen-Sutherland's trivial reject tests, but its
+comparisons are exact and it uses a float sign only when certified, so
+it has no rounding error to share with any clipper.
 """
 
 from __future__ import annotations
@@ -20,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import inf, lcm
 from typing import Optional
 
 from .geom import REJECTED, ClipResult, ClipWindow, Point2, Segment
@@ -45,8 +61,16 @@ class ExactClipOutcome:
 _REJECT = ExactClipOutcome(False, False)
 _REJECT_GRAZING = ExactClipOutcome(False, True)
 
+# Shewchuk's stage-A error bound for a float orient2d determinant,
+# (3 + 16 eps) eps with eps = 2**-53, and the magnitude below which
+# underflow could void it.
+_ORIENT_ERRBOUND = (3.0 + 16.0 * 2.0**-53) * 2.0**-53
+_ORIENT_TINY = 2.0**-900
+
 
 def _coords(obj, kind) -> tuple:
+    if type(obj) is tuple and len(obj) == 4:
+        return obj
     if isinstance(obj, Segment):
         vals = obj.coords()
     elif isinstance(obj, ClipWindow):
@@ -129,6 +153,50 @@ def _line_touches_single_point(X1, Y1, DX, DY, XMIN, YMIN, XMAX, YMAX) -> bool:
     return zeros == 1 and (pos == 3 or neg == 3)
 
 
+def _certified_plain_reject(x1, y1, x2, y2, xmin, ymin, xmax, ymax) -> bool:
+    """True when double arithmetic alone proves the exact outcome is a
+    non-grazing reject; False means "not proven", never "accepted".
+
+    Both endpoints must lie strictly beyond one window side, so the
+    segment misses the closed window, and every window corner must be
+    certified off the supporting line, so the line touches no corner.
+    Each corner test is Shewchuk's stage-A filtered orient2d: the float
+    ``detleft - detright`` is nonzero with the exact sign when its
+    magnitude exceeds ``_ORIENT_ERRBOUND * (|detleft| + |detright|)``.
+    That bound assumes neither overflow nor underflow, so a non-finite
+    or underflow-scale sum, which NaN and infinite coordinates produce,
+    is not certified.  Arguments must be exact floats.
+    """
+    if not (
+        (x1 < xmin and x2 < xmin)
+        or (x1 > xmax and x2 > xmax)
+        or (y1 < ymin and y2 < ymin)
+        or (y1 > ymax and y2 > ymax)
+    ):
+        return False
+    ax0 = x1 - xmin
+    ax1 = x1 - xmax
+    ay0 = y1 - ymin
+    ay1 = y1 - ymax
+    bx0 = x2 - xmin
+    bx1 = x2 - xmax
+    by0 = y2 - ymin
+    by1 = y2 - ymax
+    for detleft, detright in (
+        (ax0 * by0, ay0 * bx0),
+        (ax1 * by0, ay0 * bx1),
+        (ax1 * by1, ay1 * bx1),
+        (ax0 * by1, ay1 * bx0),
+    ):
+        detsum = abs(detleft) + abs(detright)
+        if not (
+            _ORIENT_TINY < detsum < inf
+            and abs(detleft - detright) > _ORIENT_ERRBOUND * detsum
+        ):
+            return False
+    return True
+
+
 def clip_exact(seg, window) -> ExactClipOutcome:
     """Exact parametric clip of a segment against a window.
 
@@ -138,7 +206,18 @@ def clip_exact(seg, window) -> ExactClipOutcome:
     float, int, Fraction or Decimal.
     """
     x1, y1, x2, y2 = _coords(seg, "segment")
-    wx0, wy0, wx1, wy1, WL = _lift_window(_coords(window, "window"))
+    bounds = _coords(window, "window")
+    # Lifting first validates the window on every path, the fast one too.
+    wx0, wy0, wx1, wy1, WL = _lift_window(bounds)
+    xmin, ymin, xmax, ymax = bounds
+    # Exact type: the error bound holds for IEEE double arithmetic only,
+    # which a float subclass, Decimal, Fraction or int need not follow.
+    if (
+        type(x1) is type(y1) is type(x2) is type(y2) is float
+        and type(xmin) is type(ymin) is type(xmax) is type(ymax) is float
+        and _certified_plain_reject(x1, y1, x2, y2, xmin, ymin, xmax, ymax)
+    ):
+        return _REJECT
     x1n, x1d = x1.as_integer_ratio()
     y1n, y1d = y1.as_integer_ratio()
     x2n, x2d = x2.as_integer_ratio()

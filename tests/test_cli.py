@@ -91,6 +91,35 @@ def test_unknown_flag_exits_2(capsys):
     assert code == 2
 
 
+def test_negative_numbers_in_exponent_form_are_values(capsys):
+    code, out, err = run_cli(
+        capsys, "clip", "--algorithm", "cs",
+        "--seg", "-1e-3", "0", "1E-3", "-0", "--window", "-1e-4", "-7.5e-05", ".1e-3", "7.5e-05",
+    )
+    assert (code, err) == (0, "")
+    assert out == "ACCEPT -0.0001 0 0.0001 0\n"
+    code, out, _ = run_cli(
+        capsys, "clip", "--algorithm", "cs",
+        "--seg", "-1.e+2", "-.5e1", "-5E1", "-5", "--window", "-10", "-10", "10", "10",
+    )
+    assert (code, out) == (0, "REJECT\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--seg", "0", "0", "1", "1", "-x"),
+        ("--seg", "-x", "0", "1", "1"),
+        ("--seg", "0", "0", "1", "-1e"),
+    ],
+    ids=["trailing", "in-value-position", "bare-exponent"],
+)
+def test_short_unknown_flag_still_exits_2(capsys, argv):
+    code, _, err = run_cli(capsys, "clip", "--algorithm", "cs", *argv)
+    assert code == 2
+    assert "error" in err
+
+
 def test_help_exits_0(capsys):
     assert run_cli(capsys, "--help")[0] == 0
 
@@ -181,6 +210,21 @@ def test_bench_broken_invariant_exits_1_without_traceback(capsys, monkeypatch):
     assert "Traceback" not in err
 
 
+def test_bench_takes_bounds_in_exponent_form(capsys):
+    def rows(*bounds):
+        code, out, _ = run_cli(
+            capsys, "bench", "--lines", "300", "--reps", "1", "--seed", "4",
+            "--format", "csv", *bounds,
+        )
+        assert code == 0
+        return [line.split(",")[3:] for line in out.strip().split("\n")[1:]]
+
+    assert rows(
+        "--space", "-9.6e2", "-7.2e2", "9.6e2", "7.2e2",
+        "--window", "-1e2", "-7.5e1", "1e2", "7.5e1",
+    ) == rows()
+
+
 def test_bench_zero_lines_exits_2(capsys):
     code, _, _ = run_cli(capsys, "bench", "--lines", "0", "--reps", "1")
     assert code == 2
@@ -204,6 +248,26 @@ def test_verify_zero_cases_runs_adversarial_suite_only(capsys):
     code, out, _ = run_cli(capsys, "verify", "--cases", "0", "--seed", "1")
     assert code == 0
     assert "random grazing: 0 of 0" in out
+
+
+def test_verify_window_scaled_by_1e_minus_6_in_exponent_form(capsys):
+    def sweep(*bounds):
+        code, out, err = run_cli(capsys, "verify", "--cases", "300", "--seed", "2", *bounds)
+        assert (code, err) == (0, "")
+        return out
+
+    plain = sweep(
+        "--space", "-0.00096", "-0.00072", "0.00096", "0.00072",
+        "--window", "-0.0001", "-0.000075", "0.0001", "0.000075",
+    )
+    assert sweep(
+        "--space", "-0.00096", "-0.00072", "0.00096", "0.00072",
+        "--window", "-0.0001", "-7.5e-05", "0.0001", "7.5e-05",
+    ) == plain
+    assert sweep(
+        "--space", "-9.6e-04", "-7.2e-04", "9.6e-04", "7.2e-04",
+        "--window", "-1e-4", "-7.5e-05", "1e-4", "7.5e-05",
+    ) == plain
 
 
 def test_verify_negative_cases_exits_2(capsys):

@@ -5,11 +5,18 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from clipbench import oracle
+from clipbench.bench import _materialize
 from clipbench.geom import ClipWindow, Segment
 from clipbench.oracle import _lift_window, clip_exact, to_double_outcome
 from clipbench.verify import adversarial_segments
 
 W = (-100, -75, 100, 75)
+WF = tuple(float(v) for v in W)
+
+
+class _FloatSubclass(float):
+    """Equal to a float, but not of exact type float."""
 
 
 def test_main_diagonal():
@@ -56,9 +63,58 @@ def test_endpoint_on_boundary_is_grazing():
 
 def test_invalid_window_raises():
     # Twice: a cached window lift must not turn the second call into a hit.
-    for _ in range(2):
-        with pytest.raises(ValueError):
-            clip_exact((0, 0, 1, 1), (5, 0, 5, 10))
+    # The float cases lie trivially outside one side of the reversed
+    # window, which must not let them skip the window check.
+    for seg, window in (
+        ((0, 0, 1, 1), (5, 0, 5, 10)),
+        ((-300.0, 0.0, -200.0, 10.0), (100.0, -75.0, -100.0, 75.0)),
+        ((0.0, 100.0, 10.0, 200.0), (-100.0, 75.0, 100.0, -75.0)),
+        ((300.0, 0.0, 200.0, 10.0), (100.0, -75.0, 100.0, 75.0)),
+    ):
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                clip_exact(seg, window)
+
+
+@pytest.mark.parametrize(
+    "bad, error", [(math.inf, OverflowError), (-math.inf, OverflowError), (math.nan, ValueError)]
+)
+def test_non_finite_float_coordinates_raise(bad, error):
+    # The base segment lies trivially outside the left side, and so does
+    # every copy with -inf in place of an x.
+    base = (-300.0, 0.0, -200.0, 10.0)
+    for i in range(4):
+        with pytest.raises(error):
+            clip_exact(base[:i] + (bad,) + base[i + 1:], WF)
+        with pytest.raises(error):
+            clip_exact(base, WF[:i] + (bad,) + WF[i + 1:])
+
+
+@pytest.mark.parametrize("shift", [0.0, 1e6], ids=["origin", "shift1e6"])
+@pytest.mark.parametrize(
+    "corner", [(-1, -1), (1, -1), (1, 1), (-1, 1)], ids=["bl", "br", "tr", "tl"]
+)
+def test_float_corner_tangent_rejects(corner, shift):
+    # The line through a corner with direction (1, -sx*sy) touches the
+    # window only at that corner.  Both endpoints stop short of it,
+    # beyond the same side, so the segment lies trivially outside.
+    sx, sy = corner
+    window = tuple(v + shift for v in WF)
+    cx = window[2] if sx > 0 else window[0]
+    cy = window[3] if sy > 0 else window[1]
+    (x1, y1), (x2, y2) = ((cx + sx * k, cy - sy * k) for k in (50.0, 75.0))
+    ulp = math.ulp(x1)
+    assert math.ulp(x2) == ulp  # so x1 and x2 move by the same amount
+    for moved in (-1, 0, 1):
+        # Shifting both x by one ulp moves the line exactly, off the corner.
+        seg = (x1 + moved * ulp, y1, x2 + moved * ulp, y2)
+        for s in (seg, (*seg[2:], *seg[:2])):
+            o = clip_exact(s, window)
+            assert not o.accepted
+            assert o.grazing is (moved == 0)
+            assert o == clip_exact(
+                tuple(map(Fraction, s)), tuple(map(Fraction, window))
+            )
 
 
 def test_accepts_segment_and_window_objects():
@@ -113,13 +169,44 @@ def test_more_windows_than_the_cache_holds():
 
 
 def test_decimal_segment_matches_equal_fractions():
-    for seg in SUITE:
-        as_fractions = clip_exact(tuple(Fraction(v) for v in seg), W)
-        as_decimals = clip_exact(tuple(Decimal(v) for v in seg), W)
-        assert as_decimals == as_fractions
+    # A float subclass is not exact type float, so like a Decimal it
+    # skips the float reject path; both must match the Fractions.
+    for window in (W, WF):
+        for seg in SUITE:
+            as_fractions = clip_exact(tuple(Fraction(v) for v in seg), window)
+            as_decimals = clip_exact(tuple(Decimal(v) for v in seg), window)
+            as_subclass = clip_exact(tuple(_FloatSubclass(v) for v in seg), window)
+            assert as_decimals == as_subclass == as_fractions
     o = clip_exact((Decimal("-200.5"), Decimal("0.1"), Decimal("200.25"), Decimal("0.1")), W)
     assert o.accepted and not o.grazing
     assert o.p1 == (Fraction(-100), Fraction(1, 10))
+
+
+@pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6], ids=["x1e-6", "x1", "x1e6"])
+@pytest.mark.parametrize("shift", [0.0, 1e4, 1e6, 1e8], ids=["0", "1e4", "1e6", "1e8"])
+def test_float_inputs_match_fraction_inputs(shift, scale, monkeypatch):
+    # Fraction inputs always take the integer path, so they are the
+    # reference for the float reject path.
+    space = ClipWindow(*(v * scale + shift for v in (-960.0, -720.0, 960.0, 720.0)))
+    window = tuple(v * scale + shift for v in WF)
+    segs, _ = _materialize(11, space, 3000)
+    segs += adversarial_segments(ClipWindow(*window))
+    frac_window = tuple(map(Fraction, window))
+
+    interval_tests = []
+    interval_ints = oracle._interval_ints
+
+    def counting_interval_ints(*args):
+        interval_tests.append(args)
+        return interval_ints(*args)
+
+    monkeypatch.setattr(oracle, "_interval_ints", counting_interval_ints)
+    as_floats = [clip_exact(seg, window) for seg in segs]
+    float_tests = len(interval_tests)
+    assert as_floats == [clip_exact(tuple(map(Fraction, seg)), frac_window) for seg in segs]
+    # Most of the stream lies trivially outside one side, so given as
+    # floats it mostly never reaches the integer interval test.
+    assert float_tests < (len(interval_tests) - float_tests) / 2
 
 
 def test_to_double_outcome_examples():
