@@ -13,17 +13,8 @@ from .geom import (
 from .clippers import (
     AlgorithmId,
     ParamInterval,
-    HomogeneousLine,
     clip,
-    clip_cohen_sutherland,
-    clip_cyrus_beck,
-    clip_kwc,
-    clip_liang_barsky,
-    clip_nicholl_lee_nicholl,
-    clip_proposed,
-    clip_skala,
     compute_outcode,
-    line_coefficients,
     param_interval,
 )
 from .oracle import ExactClipOutcome, clip_exact, to_double_outcome
@@ -51,7 +42,6 @@ __all__ = [
     "ClipResult",
     "ClipWindow",
     "ExactClipOutcome",
-    "HomogeneousLine",
     "ParamInterval",
     "Point2",
     "REJECTED",
@@ -60,17 +50,9 @@ __all__ = [
     "VerificationReport",
     "adversarial_segments",
     "clip",
-    "clip_cohen_sutherland",
-    "clip_cyrus_beck",
     "clip_exact",
-    "clip_kwc",
-    "clip_liang_barsky",
-    "clip_nicholl_lee_nicholl",
-    "clip_proposed",
-    "clip_skala",
     "compute_outcode",
     "contains",
-    "line_coefficients",
     "mean_seconds",
     "next_u64",
     "param_interval",

@@ -20,12 +20,13 @@ from dataclasses import dataclass
 from decimal import ROUND_HALF_EVEN, ROUND_HALF_UP, Decimal
 from hashlib import blake2b
 
-from .clippers import KERNELS, REPORT_COLUMN_ORDER, AlgorithmId
+from .clippers import KERNELS, AlgorithmId
 from .geom import ClipWindow, require_window_in_space
 
 __all__ = [
     "MASK64",
     "next_u64",
+    "require_seed",
     "BenchConfig",
     "BenchInvariantError",
     "RunTiming",
@@ -58,6 +59,12 @@ def next_u64(state: int) -> tuple[int, int]:
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
     return z ^ (z >> 31), state
+
+
+def require_seed(seed: int) -> None:
+    """Raise ValueError unless ``seed`` is a splitmix64 state, 0 <= seed < 2^64."""
+    if not (0 <= seed <= MASK64):
+        raise ValueError("seed must fit in 64 bits")
 
 
 def _materialize(state: int, space: ClipWindow, count: int):
@@ -107,15 +114,14 @@ class BenchConfig:
     lines_per_run: int = 1_000_000
     repetitions: int = 10
     seed: int = 1
-    algorithms: tuple[AlgorithmId, ...] = REPORT_COLUMN_ORDER
+    algorithms: tuple[AlgorithmId, ...] = tuple(AlgorithmId)
 
     def __post_init__(self) -> None:
         if self.lines_per_run < 1:
             raise ValueError("lines_per_run must be >= 1")
         if self.repetitions < 1:
             raise ValueError("repetitions must be >= 1")
-        if not (0 <= self.seed <= MASK64):
-            raise ValueError("seed must fit in 64 bits")
+        require_seed(self.seed)
         require_window_in_space(self.window, self.space)
         if not self.algorithms:
             raise ValueError("at least one algorithm is required")
@@ -314,7 +320,7 @@ def _render_markdown(report: BenchReport) -> str:
     cfg = report.config
     # The markdown layout always uses the fixed column order, whatever
     # order the algorithms were requested in.
-    algos = [a for a in REPORT_COLUMN_ORDER if a in cfg.algorithms]
+    algos = [a for a in AlgorithmId if a in cfg.algorithms]
     names = [a.value for a in algos]
     out = [
         "# Line clipping benchmark",

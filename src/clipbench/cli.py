@@ -15,25 +15,20 @@ import re
 import sys
 
 from .bench import BenchConfig, BenchInvariantError, render_report, run_bench
-from .clippers import CLIPPERS, AlgorithmId
+from .clippers import AlgorithmId, clip
 from .geom import ClipWindow, Point2, Segment
 from .verify import run_verification
 
 __all__ = ["main", "run", "format_double"]
 
+# Each algorithm answers to its report spelling and to its full name,
+# both lowercase: "nln" and "nicholl-lee-nicholl".
 _ALGORITHM_KEYS = {
-    "cs": AlgorithmId.COHEN_SUTHERLAND,
-    "cohen-sutherland": AlgorithmId.COHEN_SUTHERLAND,
-    "lb": AlgorithmId.LIANG_BARSKY,
-    "liang-barsky": AlgorithmId.LIANG_BARSKY,
-    "cb": AlgorithmId.CYRUS_BECK,
-    "cyrus-beck": AlgorithmId.CYRUS_BECK,
-    "nln": AlgorithmId.NICHOLL_LEE_NICHOLL,
-    "nicholl-lee-nicholl": AlgorithmId.NICHOLL_LEE_NICHOLL,
-    "skala": AlgorithmId.SKALA,
-    "kwc": AlgorithmId.KWC,
-    "proposed": AlgorithmId.PROPOSED,
+    key: algo
+    for algo in AlgorithmId
+    for key in (algo.value.lower(), algo.name.lower().replace("_", "-"))
 }
+_SHORT_KEYS = [algo.value.lower() for algo in AlgorithmId]
 
 
 def format_double(value: float) -> str:
@@ -91,7 +86,7 @@ def _make_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_clip = sub.add_parser("clip", help="clip one segment and print the result")
-    p_clip.add_argument("--algorithm", required=True, help="cs|lb|cb|nln|skala|kwc|proposed")
+    p_clip.add_argument("--algorithm", required=True, help="|".join(_SHORT_KEYS))
     p_clip.add_argument(
         "--seg", nargs=4, type=float, required=True, metavar=("X1", "Y1", "X2", "Y2")
     )
@@ -108,7 +103,7 @@ def _make_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--out", default=None, help="output path (default: stdout)")
     p_bench.add_argument(
         "--algorithms",
-        default="cs,lb,cb,nln,skala,kwc,proposed",
+        default=",".join(_SHORT_KEYS),
         help="comma-separated list (default: all seven)",
     )
     p_bench.set_defaults(func=_cmd_bench)
@@ -127,7 +122,7 @@ def _cmd_clip(args) -> int:
     algorithm = _parse_algorithm(args.algorithm)
     window = ClipWindow(*args.window)
     seg = Segment(Point2(args.seg[0], args.seg[1]), Point2(args.seg[2], args.seg[3]))
-    result = CLIPPERS[algorithm](seg, window)
+    result = clip(algorithm, seg, window)
     if result.accepted:
         c = result.segment.coords()
         print("ACCEPT " + " ".join(format_double(v) for v in c))
@@ -148,8 +143,11 @@ def _cmd_bench(args) -> int:
     report = run_bench(config)
     text = render_report(report, args.format)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ValueError(f"cannot write {args.out}: {exc.strerror}") from None
     else:
         sys.stdout.write(text)
     return 0

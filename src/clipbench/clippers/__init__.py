@@ -1,8 +1,11 @@
 """Seven rectangle line clippers behind one shared signature.
 
-Every algorithm is implemented twice over the same code: a coordinate
-kernel operating on eight floats (used by the benchmark and verification
-loops) and a typed wrapper ``clip_<name>(segment, window) -> ClipResult``.
+Each algorithm is one coordinate kernel over eight floats,
+``(x1, y1, x2, y2, xmin, ymin, xmax, ymax) -> (x1, y1, x2, y2) | None``,
+registered in ``KERNELS`` under its ``AlgorithmId``.  The benchmark and
+verification loops call the kernels directly; ``clip`` is the typed
+entry point over the same kernels.
+
 All clippers agree on boundary-inclusive containment and on the
 degenerate-segment convention: a point segment is accepted unchanged iff
 it lies in the closed window.
@@ -25,21 +28,12 @@ from . import (
 )
 from .cohen_sutherland import BOTTOM, INSIDE, LEFT, RIGHT, TOP, compute_outcode
 from .liang_barsky import ParamInterval, param_interval
-from .skala import EDGE_TABLE, HomogeneousLine, line_coefficients
+from .skala import EDGE_TABLE
 
 __all__ = [
     "AlgorithmId",
-    "REPORT_COLUMN_ORDER",
     "KERNELS",
-    "CLIPPERS",
     "clip",
-    "clip_proposed",
-    "clip_cohen_sutherland",
-    "clip_liang_barsky",
-    "clip_cyrus_beck",
-    "clip_nicholl_lee_nicholl",
-    "clip_skala",
-    "clip_kwc",
     "compute_outcode",
     "INSIDE",
     "LEFT",
@@ -48,8 +42,6 @@ __all__ = [
     "TOP",
     "ParamInterval",
     "param_interval",
-    "HomogeneousLine",
-    "line_coefficients",
     "EDGE_TABLE",
 ]
 
@@ -57,7 +49,8 @@ CoordKernel = Callable[..., Optional[tuple]]
 
 
 class AlgorithmId(enum.Enum):
-    """Benchmarked algorithm set; values are the fixed report spellings."""
+    """Benchmarked algorithm set; values are the fixed report spellings and
+    member order is the column order of every report."""
 
     COHEN_SUTHERLAND = "CS"
     LIANG_BARSKY = "LB"
@@ -67,9 +60,6 @@ class AlgorithmId(enum.Enum):
     KWC = "KWC"
     PROPOSED = "Proposed"
 
-
-# Fixed column order used by every report format.
-REPORT_COLUMN_ORDER = tuple(AlgorithmId)
 
 KERNELS: dict[AlgorithmId, CoordKernel] = {
     AlgorithmId.COHEN_SUTHERLAND: cohen_sutherland.clip_coords,
@@ -82,60 +72,10 @@ KERNELS: dict[AlgorithmId, CoordKernel] = {
 }
 
 
-def _wrap(kernel: CoordKernel, seg: Segment, window: ClipWindow) -> ClipResult:
-    r = kernel(*seg.coords(), *window.bounds())
+def clip(algorithm: AlgorithmId, seg: Segment, window: ClipWindow) -> ClipResult:
+    """Clip ``seg`` to ``window`` with the kernel of ``algorithm``."""
+    r = KERNELS[algorithm](*seg.coords(), *window.bounds())
     if r is None:
         return REJECTED
     x1, y1, x2, y2 = r
     return ClipResult(Segment(Point2(x1, y1), Point2(x2, y2)))
-
-
-def clip_proposed(seg: Segment, window: ClipWindow) -> ClipResult:
-    """Two-pass endpoint-clamp clipper."""
-    return _wrap(proposed.clip_coords, seg, window)
-
-
-def clip_cohen_sutherland(seg: Segment, window: ClipWindow) -> ClipResult:
-    """Outcode-based iterative clipper."""
-    return _wrap(cohen_sutherland.clip_coords, seg, window)
-
-
-def clip_liang_barsky(seg: Segment, window: ClipWindow) -> ClipResult:
-    """Parametric inequality clipper."""
-    return _wrap(liang_barsky.clip_coords, seg, window)
-
-
-def clip_cyrus_beck(seg: Segment, window: ClipWindow) -> ClipResult:
-    """Convex-polygon clipper specialized to the rectangle."""
-    return _wrap(cyrus_beck.clip_coords, seg, window)
-
-
-def clip_nicholl_lee_nicholl(seg: Segment, window: ClipWindow) -> ClipResult:
-    """Start-point region clipper with reflection-reduced cases."""
-    return _wrap(nicholl_lee_nicholl.clip_coords, seg, window)
-
-
-def clip_skala(seg: Segment, window: ClipWindow) -> ClipResult:
-    """Homogeneous-coordinate corner-classification clipper."""
-    return _wrap(skala.clip_coords, seg, window)
-
-
-def clip_kwc(seg: Segment, window: ClipWindow) -> ClipResult:
-    """Per-boundary clipper with axis-parallel fast paths."""
-    return _wrap(kwc.clip_coords, seg, window)
-
-
-CLIPPERS: dict[AlgorithmId, Callable[[Segment, ClipWindow], ClipResult]] = {
-    AlgorithmId.COHEN_SUTHERLAND: clip_cohen_sutherland,
-    AlgorithmId.LIANG_BARSKY: clip_liang_barsky,
-    AlgorithmId.CYRUS_BECK: clip_cyrus_beck,
-    AlgorithmId.NICHOLL_LEE_NICHOLL: clip_nicholl_lee_nicholl,
-    AlgorithmId.SKALA: clip_skala,
-    AlgorithmId.KWC: clip_kwc,
-    AlgorithmId.PROPOSED: clip_proposed,
-}
-
-
-def clip(algorithm: AlgorithmId, seg: Segment, window: ClipWindow) -> ClipResult:
-    """Dispatch to one of the seven clippers by identifier."""
-    return CLIPPERS[algorithm](seg, window)

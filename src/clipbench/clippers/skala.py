@@ -22,25 +22,7 @@ alternating signs); the table maps them to the empty entry.
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
-from ..geom import Segment
-
-__all__ = ["HomogeneousLine", "line_coefficients", "EDGE_TABLE", "clip_coords"]
-
-
-class HomogeneousLine(NamedTuple):
-    """Coefficients of ax + by + c = 0."""
-
-    a: float
-    b: float
-    c: float
-
-
-def line_coefficients(seg: Segment) -> HomogeneousLine:
-    """Supporting line of a segment as the cross product (x1,y1,1) x (x2,y2,1)."""
-    x1, y1, x2, y2 = seg.coords()
-    return HomogeneousLine(y1 - y2, x2 - x1, x1 * y2 - x2 * y1)
+__all__ = ["EDGE_TABLE", "clip_coords"]
 
 
 def _build_edge_table():

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import hypot, isfinite
 
-from .bench import _materialize
+from .bench import _materialize, require_seed
 from .clippers import KERNELS, AlgorithmId
 from .geom import ClipWindow, require_window_in_space
 from .oracle import clip_exact
@@ -160,15 +160,16 @@ def run_verification(
 ) -> VerificationReport:
     """Sweep ``cases`` seeded segments plus the adversarial suite.
 
-    Raises ValueError for negative ``cases``, a ``tolerance`` that is not
-    finite and >= 0 (NaN would silently disable the endpoint comparison),
-    or a window outside the space.
+    Raises ValueError for negative ``cases``, a seed outside 64 bits, a
+    ``tolerance`` that is not finite and >= 0 (NaN would silently disable
+    the endpoint comparison), or a window outside the space.
 
     ``kernels`` may override individual algorithm kernels, which is how
     the harness itself is tested against deliberately broken clippers.
     """
     if cases < 0:
         raise ValueError("cases must be >= 0")
+    require_seed(seed)
     if not (isfinite(tolerance) and tolerance >= 0):
         raise ValueError(f"tolerance must be finite and >= 0, got {tolerance!r}")
     require_window_in_space(window, space)

@@ -47,7 +47,10 @@ def test_clip_diagonal(capsys):
 
 
 def test_clip_accepts_every_algorithm_key(capsys):
-    for key in ("cs", "lb", "cb", "nln", "skala", "kwc", "proposed", "cohen-sutherland"):
+    for key in (
+        "cs", "lb", "cb", "nln", "skala", "kwc", "proposed",
+        "cohen-sutherland", "liang-barsky", "cyrus-beck", "nicholl-lee-nicholl",
+    ):
         code, out, _ = run_cli(
             capsys, "clip", "--algorithm", key,
             "--seg", "0", "0", "1", "1", "--window", "-10", "-10", "10", "10",
@@ -62,7 +65,11 @@ def test_clip_unknown_algorithm_exits_2(capsys):
         "--seg", "0", "0", "1", "1", "--window", "-10", "-10", "10", "10",
     )
     assert code == 2
-    assert "unknown algorithm" in err
+    assert err == (
+        "error: unknown algorithm 'bresenham'; choose from cb, cohen-sutherland, "
+        "cs, cyrus-beck, kwc, lb, liang-barsky, nicholl-lee-nicholl, nln, "
+        "proposed, skala\n"
+    )
 
 
 def test_clip_invalid_window_exits_2(capsys):
@@ -188,6 +195,15 @@ def test_bench_algorithm_subset_and_out_file(capsys, tmp_path):
     assert lines[2].startswith("Proposed,")
 
 
+def test_bench_out_into_missing_directory_exits_2(capsys, tmp_path):
+    path = tmp_path / "missing" / "report.csv"
+    code, out, err = run_cli(
+        capsys, "bench", "--lines", "10", "--reps", "1", "--format", "csv", "--out", str(path),
+    )
+    assert (code, out) == (2, "")
+    assert err == f"error: cannot write {path}: No such file or directory\n"
+
+
 def test_bench_window_outside_space_exits_2(capsys):
     # verify shares the check, so it rides along as a second input.
     for command, size in (("bench", "--lines"), ("verify", "--cases")):
@@ -273,6 +289,12 @@ def test_verify_window_scaled_by_1e_minus_6_in_exponent_form(capsys):
 def test_verify_negative_cases_exits_2(capsys):
     code, _, _ = run_cli(capsys, "verify", "--cases", "-5")
     assert code == 2
+    # verify shares the seed check with bench: splitmix64 masks its state,
+    # so an out-of-range seed would otherwise run another seed's stream.
+    for command, size in (("verify", "--cases"), ("bench", "--lines")):
+        for seed in ("-1", str(2**64)):
+            code, out, err = run_cli(capsys, command, size, "10", "--seed", seed)
+            assert (code, out, err) == (2, "", "error: seed must fit in 64 bits\n"), (command, seed)
 
 
 @pytest.mark.parametrize("tolerance", ["-1", "nan", "inf"])

@@ -5,7 +5,6 @@ from hypothesis import given, settings, strategies as st
 
 from clipbench.clippers import (
     BOTTOM,
-    CLIPPERS,
     EDGE_TABLE,
     KERNELS,
     LEFT,
@@ -13,10 +12,7 @@ from clipbench.clippers import (
     TOP,
     AlgorithmId,
     clip,
-    clip_cohen_sutherland,
-    clip_proposed,
     compute_outcode,
-    line_coefficients,
     param_interval,
 )
 from clipbench.geom import ClipWindow, Point2, Segment
@@ -52,17 +48,17 @@ def test_shared_examples(algo, seg, expected):
 
 def test_proposed_double_clamp_path():
     # x clamp lands at (-100, 100), the y clamp then pulls it to (-75, 75).
-    result = clip_proposed(Segment.of(-200, 200, 0, 0), W)
+    result = clip(AlgorithmId.PROPOSED, Segment.of(-200, 200, 0, 0), W)
     assert result.segment.coords() == pytest.approx((-75, 75, 0, 0), abs=1e-9)
 
 
 def test_proposed_vertical_line_never_divides():
-    result = clip_proposed(Segment.of(0, -1000, 0, 1000), W)
+    result = clip(AlgorithmId.PROPOSED, Segment.of(0, -1000, 0, 1000), W)
     assert result.segment.coords() == pytest.approx((0, -75, 0, 75), abs=1e-9)
 
 
 def test_proposed_horizontal_line_never_divides():
-    result = clip_proposed(Segment.of(-1000, 10, 1000, 10), W)
+    result = clip(AlgorithmId.PROPOSED, Segment.of(-1000, 10, 1000, 10), W)
     assert result.segment.coords() == pytest.approx((-100, 10, 100, 10), abs=1e-9)
 
 
@@ -70,7 +66,7 @@ def test_cohen_sutherland_trivial_reject_by_and():
     c1 = compute_outcode(Point2(-150, 80), W)
     c2 = compute_outcode(Point2(-150, 90), W)
     assert c1 & c2 & LEFT
-    assert not clip_cohen_sutherland(Segment.of(-150, 80, -150, 90), W).accepted
+    assert not clip(AlgorithmId.COHEN_SUTHERLAND, Segment.of(-150, 80, -150, 90), W).accepted
 
 
 def test_outcode_examples():
@@ -83,20 +79,6 @@ def test_outcode_bit_assignment():
     assert (LEFT, RIGHT, BOTTOM, TOP) == (1, 2, 4, 8)
     assert compute_outcode(Point2(-150, -80), W) == LEFT | BOTTOM
     assert compute_outcode(Point2(150, 80), W) == RIGHT | TOP
-
-
-def test_line_coefficients_examples():
-    assert line_coefficients(Segment.of(0, 0, 50, 50)) == (-50, 50, 0)
-    assert line_coefficients(Segment.of(0, 5, 10, 5)) == (0, 10, -50)
-    assert line_coefficients(Segment.of(3, 0, 3, 7)) == (-7, 0, 21)
-
-
-def test_line_coefficients_endpoints_satisfy_equation():
-    seg = Segment.of(-3.5, 2.25, 17.0, -9.75)
-    a, b, c = line_coefficients(seg)
-    for x, y in ((seg.p1.x, seg.p1.y), (seg.p2.x, seg.p2.y)):
-        scale = max(1.0, abs(a), abs(b), abs(c)) * max(1.0, abs(x), abs(y))
-        assert abs(a * x + b * y + c) <= 1e-6 * scale
 
 
 def test_edge_table_shape():
@@ -153,7 +135,6 @@ def test_skala_boundary_collinear_is_orientation_independent():
 
 
 def test_dispatch_covers_every_algorithm():
-    assert set(CLIPPERS) == set(AlgorithmId)
     assert set(KERNELS) == set(AlgorithmId)
     seg = Segment.of(-200, -200, 200, 200)
     for algo in AlgorithmId:
