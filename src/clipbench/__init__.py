@@ -8,16 +8,9 @@ from .geom import (
     ClipWindow,
     Point2,
     Segment,
-    contains,
 )
-from .clippers import (
-    AlgorithmId,
-    ParamInterval,
-    clip,
-    compute_outcode,
-    param_interval,
-)
-from .oracle import ExactClipOutcome, clip_exact, to_double_outcome
+from .clippers import AlgorithmId, clip
+from .oracle import ExactClipOutcome, clip_exact
 from .bench import (
     BenchConfig,
     BenchInvariantError,
@@ -42,7 +35,6 @@ __all__ = [
     "ClipResult",
     "ClipWindow",
     "ExactClipOutcome",
-    "ParamInterval",
     "Point2",
     "REJECTED",
     "RunTiming",
@@ -51,15 +43,11 @@ __all__ = [
     "adversarial_segments",
     "clip",
     "clip_exact",
-    "compute_outcode",
-    "contains",
     "mean_seconds",
     "next_u64",
-    "param_interval",
     "parse_report",
     "render_report",
     "run_bench",
     "run_verification",
     "speedup_percent",
-    "to_double_outcome",
 ]

@@ -295,11 +295,10 @@ def _fmt_seconds(value: float) -> str:
 
 
 def render_report(report: BenchReport, fmt: str) -> str:
-    """Serialize a report as csv, markdown or json."""
-    fmt = fmt.lower()
+    """Serialize a report; ``fmt`` is ``csv``, ``md`` (markdown) or ``json``."""
     if fmt == "csv":
         return _render_csv(report)
-    if fmt in ("md", "markdown"):
+    if fmt == "md":
         return _render_markdown(report)
     if fmt == "json":
         return _render_json(report)

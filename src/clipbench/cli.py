@@ -140,16 +140,15 @@ def _cmd_bench(args) -> int:
         seed=args.seed,
         algorithms=_parse_algorithms(args.algorithms),
     )
-    report = run_bench(config)
-    text = render_report(report, args.format)
-    if args.out:
-        try:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise ValueError(f"cannot write {args.out}: {exc.strerror}") from None
-    else:
-        sys.stdout.write(text)
+    if not args.out:
+        sys.stdout.write(render_report(run_bench(config), args.format))
+        return 0
+    # Open --out before the run, so a bad path costs no benchmark time.
+    try:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(render_report(run_bench(config), args.format))
+    except OSError as exc:
+        raise ValueError(f"cannot write {args.out}: {exc.strerror}") from None
     return 0
 
 

@@ -26,24 +26,9 @@ from . import (
     proposed,
     skala,
 )
-from .cohen_sutherland import BOTTOM, INSIDE, LEFT, RIGHT, TOP, compute_outcode
-from .liang_barsky import ParamInterval, param_interval
 from .skala import EDGE_TABLE
 
-__all__ = [
-    "AlgorithmId",
-    "KERNELS",
-    "clip",
-    "compute_outcode",
-    "INSIDE",
-    "LEFT",
-    "RIGHT",
-    "BOTTOM",
-    "TOP",
-    "ParamInterval",
-    "param_interval",
-    "EDGE_TABLE",
-]
+__all__ = ["AlgorithmId", "KERNELS", "clip", "EDGE_TABLE"]
 
 CoordKernel = Callable[..., Optional[tuple]]
 

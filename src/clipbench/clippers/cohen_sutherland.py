@@ -5,25 +5,14 @@ accept, a nonzero bitwise AND means trivial reject, and otherwise one
 out-of-window endpoint is moved onto a violated boundary and the loop
 repeats.  At most four boundary intersections are ever computed.
 
-Bit assignment (fixed for test reproducibility):
-LEFT = 1, RIGHT = 2, BOTTOM = 4, TOP = 8.  Boundary points code to 0.
+Bit assignment: LEFT = 1, RIGHT = 2, BOTTOM = 4, TOP = 8.  Boundary
+points code to 0.
 """
 
 from __future__ import annotations
 
-from ..geom import ClipWindow, Point2
+__all__ = ["clip_coords"]
 
-__all__ = [
-    "INSIDE",
-    "LEFT",
-    "RIGHT",
-    "BOTTOM",
-    "TOP",
-    "compute_outcode",
-    "clip_coords",
-]
-
-INSIDE = 0
 LEFT = 1
 RIGHT = 2
 BOTTOM = 4
@@ -41,11 +30,6 @@ def _outcode(x, y, xmin, ymin, xmax, ymax):
     elif y > ymax:
         code |= 8
     return code
-
-
-def compute_outcode(p: Point2, window: ClipWindow) -> int:
-    """Region code of a point: 0 iff inside or on the boundary."""
-    return _outcode(p.x, p.y, window.xmin, window.ymin, window.xmax, window.ymax)
 
 
 def clip_coords(x1, y1, x2, y2, xmin, ymin, xmax, ymax):

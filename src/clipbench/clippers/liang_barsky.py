@@ -7,18 +7,7 @@ iff the line lies outside that edge, otherwise imposes no constraint.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional
-
-from ..geom import ClipWindow, Segment
-
-__all__ = ["ParamInterval", "param_interval", "clip_coords"]
-
-
-class ParamInterval(NamedTuple):
-    """Retained parameter range; 0 <= t_enter <= t_exit <= 1 when accepted."""
-
-    t_enter: float
-    t_exit: float
+__all__ = ["clip_coords"]
 
 
 def _interval(x1, y1, x2, y2, xmin, ymin, xmax, ymax):
@@ -48,12 +37,6 @@ def _interval(x1, y1, x2, y2, xmin, ymin, xmax, ymax):
                 if r < u2:
                     u2 = r
     return u1, u2
-
-
-def param_interval(seg: Segment, window: ClipWindow) -> Optional[ParamInterval]:
-    """Parameter range of the retained part, or None when rejected."""
-    iv = _interval(*seg.coords(), *window.bounds())
-    return None if iv is None else ParamInterval(*iv)
 
 
 def clip_coords(x1, y1, x2, y2, xmin, ymin, xmax, ymax):

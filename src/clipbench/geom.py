@@ -16,7 +16,6 @@ __all__ = [
     "ClipWindow",
     "ClipResult",
     "REJECTED",
-    "contains",
     "require_window_in_space",
 ]
 
@@ -90,11 +89,6 @@ class ClipResult:
 
 
 REJECTED = ClipResult(None)
-
-
-def contains(window: ClipWindow, p: Point2) -> bool:
-    """Boundary-inclusive point containment."""
-    return window.xmin <= p.x <= window.xmax and window.ymin <= p.y <= window.ymax
 
 
 def require_window_in_space(window: ClipWindow, space: ClipWindow) -> None:

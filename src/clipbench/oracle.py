@@ -39,9 +39,9 @@ from functools import lru_cache
 from math import inf, lcm
 from typing import Optional
 
-from .geom import REJECTED, ClipResult, ClipWindow, Point2, Segment
+from .geom import ClipWindow, Segment
 
-__all__ = ["ExactClipOutcome", "clip_exact", "to_double_outcome"]
+__all__ = ["ExactClipOutcome", "clip_exact"]
 
 RationalPoint = tuple[Fraction, Fraction]
 
@@ -259,13 +259,3 @@ def clip_exact(seg, window) -> ExactClipOutcome:
         or (t1n == t1d and _on_boundary(X2, Y2, XMIN, YMIN, XMAX, YMAX))
     )
     return ExactClipOutcome(True, grazing, p1, p2)
-
-
-def to_double_outcome(outcome: ExactClipOutcome) -> ClipResult:
-    """Round exact endpoints to nearest doubles, preserving accept/reject."""
-    if not outcome.accepted:
-        return REJECTED
-    (ax, ay), (bx, by) = outcome.p1, outcome.p2
-    return ClipResult(
-        Segment(Point2(float(ax), float(ay)), Point2(float(bx), float(by)))
-    )

@@ -155,7 +155,6 @@ def run_verification(
     space: ClipWindow,
     window: ClipWindow,
     tolerance: float = 1e-9,
-    algorithms=None,
     kernels=None,
 ) -> VerificationReport:
     """Sweep ``cases`` seeded segments plus the adversarial suite.
@@ -173,11 +172,10 @@ def run_verification(
     if not (isfinite(tolerance) and tolerance >= 0):
         raise ValueError(f"tolerance must be finite and >= 0, got {tolerance!r}")
     require_window_in_space(window, space)
-    algorithms = tuple(algorithms) if algorithms else tuple(AlgorithmId)
     kernel_map = dict(KERNELS)
     if kernels:
         kernel_map.update(kernels)
-    checks = [AlgorithmCheck(a) for a in algorithms]
+    checks = [AlgorithmCheck(a) for a in AlgorithmId]
     kernel_checks = [(kernel_map[check.algorithm], check) for check in checks]
 
     x0, y0, x1, y1 = window.bounds()

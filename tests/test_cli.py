@@ -204,6 +204,27 @@ def test_bench_out_into_missing_directory_exits_2(capsys, tmp_path):
     assert err == f"error: cannot write {path}: No such file or directory\n"
 
 
+def test_bench_checks_out_path_before_running(capsys, monkeypatch, tmp_path):
+    import clipbench.bench as bench_mod
+    from clipbench.clippers import KERNELS
+
+    calls = []
+
+    def counting(kernel):
+        def wrapped(*coords):
+            calls.append(coords)
+            return kernel(*coords)
+
+        return wrapped
+
+    monkeypatch.setattr(bench_mod, "KERNELS", {a: counting(k) for a, k in KERNELS.items()})
+    path = tmp_path / "missing" / "r.csv"
+    code, out, err = run_cli(capsys, "bench", "--lines", "10", "--reps", "1", "--out", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"error: cannot write {path}: No such file or directory\n"
+    assert calls == []
+
+
 def test_bench_window_outside_space_exits_2(capsys):
     # verify shares the check, so it rides along as a second input.
     for command, size in (("bench", "--lines"), ("verify", "--cases")):
@@ -241,9 +262,14 @@ def test_bench_takes_bounds_in_exponent_form(capsys):
     ) == rows()
 
 
-def test_bench_zero_lines_exits_2(capsys):
+def test_bench_zero_lines_exits_2(capsys, tmp_path):
     code, _, _ = run_cli(capsys, "bench", "--lines", "0", "--reps", "1")
     assert code == 2
+    # A config error is found before --out is opened, so no file appears.
+    path = tmp_path / "r.csv"
+    code, _, _ = run_cli(capsys, "bench", "--lines", "0", "--out", str(path))
+    assert code == 2
+    assert not path.exists()
 
 
 # ---------------------------------------------------------------------------

@@ -3,19 +3,8 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from clipbench.clippers import (
-    BOTTOM,
-    EDGE_TABLE,
-    KERNELS,
-    LEFT,
-    RIGHT,
-    TOP,
-    AlgorithmId,
-    clip,
-    compute_outcode,
-    param_interval,
-)
-from clipbench.geom import ClipWindow, Point2, Segment
+from clipbench.clippers import EDGE_TABLE, KERNELS, AlgorithmId, clip
+from clipbench.geom import ClipWindow, Segment
 
 W = ClipWindow(-100, -75, 100, 75)
 ALGOS = list(AlgorithmId)
@@ -63,22 +52,9 @@ def test_proposed_horizontal_line_never_divides():
 
 
 def test_cohen_sutherland_trivial_reject_by_and():
-    c1 = compute_outcode(Point2(-150, 80), W)
-    c2 = compute_outcode(Point2(-150, 90), W)
-    assert c1 & c2 & LEFT
+    # Both endpoints lie left of and above the window: their region codes
+    # share the LEFT and TOP bits, so the AND test rejects at once.
     assert not clip(AlgorithmId.COHEN_SUTHERLAND, Segment.of(-150, 80, -150, 90), W).accepted
-
-
-def test_outcode_examples():
-    assert compute_outcode(Point2(-150, 80), W) == LEFT | TOP
-    assert compute_outcode(Point2(0, 0), W) == 0
-    assert compute_outcode(Point2(100, -75), W) == 0  # boundary-inclusive corner
-
-
-def test_outcode_bit_assignment():
-    assert (LEFT, RIGHT, BOTTOM, TOP) == (1, 2, 4, 8)
-    assert compute_outcode(Point2(-150, -80), W) == LEFT | BOTTOM
-    assert compute_outcode(Point2(150, 80), W) == RIGHT | TOP
 
 
 def test_edge_table_shape():
@@ -95,7 +71,7 @@ def test_edge_table_shape():
 
 @pytest.mark.parametrize("algo", ALGOS, ids=lambda a: a.value)
 def test_degenerate_point_convention(algo):
-    inside = [(0, 0), (-100, -75), (100, 75), (-100, 0), (0, 75)]
+    inside = [(0, 0), (-100, -75), (100, -75), (100, 75), (-100, 75), (-100, 0), (0, 75)]
     outside = [(-100.5, 0), (0, 75.5), (300, 300), (-100.0001, -75.0001)]
     for x, y in inside:
         result = run(algo, (x, y, x, y))
@@ -141,14 +117,6 @@ def test_dispatch_covers_every_algorithm():
         assert clip(algo, seg, W).segment.coords() == pytest.approx(
             (-75, -75, 75, 75), abs=1e-9
         )
-
-
-def test_param_interval_on_shared_example():
-    iv = param_interval(Segment.of(-200, -200, 200, 200), W)
-    assert iv is not None
-    assert iv.t_enter == pytest.approx(0.3125)
-    assert iv.t_exit == pytest.approx(0.6875)
-    assert param_interval(Segment.of(-200, 0, 0, 200), W) is None
 
 
 # ---------------------------------------------------------------------------

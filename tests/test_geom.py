@@ -2,21 +2,9 @@ import math
 
 import pytest
 
-from clipbench.geom import ClipWindow, Point2, Segment, contains, require_window_in_space
+from clipbench.geom import ClipWindow, Point2, Segment, require_window_in_space
 
 W = ClipWindow(-100, -75, 100, 75)
-
-
-def test_contains_examples():
-    assert contains(W, Point2(0, 0))
-    assert contains(W, Point2(-100, 75))  # corner is boundary-inclusive
-    assert not contains(W, Point2(-100.0001, 0))
-
-
-def test_all_corners_are_inside():
-    for x in (W.xmin, W.xmax):
-        for y in (W.ymin, W.ymax):
-            assert contains(W, Point2(x, y))
 
 
 def test_window_in_space_is_boundary_inclusive():
