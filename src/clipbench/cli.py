@@ -143,10 +143,13 @@ def _cmd_bench(args) -> int:
     if not args.out:
         sys.stdout.write(render_report(run_bench(config), args.format))
         return 0
-    # Open --out before the run, so a bad path costs no benchmark time.
+    # Open --out before the run, so a bad path costs no benchmark time, and
+    # in append mode, so a run that fails leaves an earlier report intact.
     try:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(render_report(run_bench(config), args.format))
+        with open(args.out, "a", encoding="utf-8") as fh:
+            text = render_report(run_bench(config), args.format)
+            fh.truncate(0)
+            fh.write(text)
     except OSError as exc:
         raise ValueError(f"cannot write {args.out}: {exc.strerror}") from None
     return 0
