@@ -57,6 +57,7 @@ def test_criterion_2_reference_speedup_regression():
     print("ACCEPTANCE 2 PASS: all twelve speedup percentages match within 0.01 points")
 
 
+@pytest.mark.usefixtures("shared_stream")
 def test_criterion_3_oracle_equivalence_full_scale(capsys):
     code = main(["verify", "--cases", "1000000", "--seed", "1"])
     out = capsys.readouterr().out
@@ -220,6 +221,7 @@ def test_criterion_6_benchmark_determinism(tmp_path, capsys):
         )
 
 
+@pytest.mark.usefixtures("shared_stream")
 def test_criterion_7_performance_ordering_informative(capsys):
     config = BenchConfig(lines_per_run=1_000_000, repetitions=3, seed=1)
     report = run_bench(config)

@@ -113,8 +113,6 @@ def test_mean_of_empty_sequence_is_an_error():
 
 
 def test_speedup_reference_percentages():
-    from clipbench.bench import speedup_percent
-
     assert speedup_percent(1.165, 1.365) == pytest.approx(17.17, abs=0.01)
     assert speedup_percent(1.165, 1.244) == pytest.approx(6.78, abs=0.01)
     assert speedup_percent(10.428, 13.537) == pytest.approx(29.81, abs=0.01)
@@ -122,15 +120,11 @@ def test_speedup_reference_percentages():
 
 
 def test_speedup_is_monotone_in_gap():
-    from clipbench.bench import speedup_percent
-
     gaps = [speedup_percent(1.0, 1.0 + d) for d in (0.0, 0.1, 0.2, 0.5)]
     assert gaps == sorted(gaps)
 
 
 def test_speedup_requires_positive_reference():
-    from clipbench.bench import speedup_percent
-
     with pytest.raises(ValueError):
         speedup_percent(0.0, 1.0)
 

@@ -225,6 +225,29 @@ def test_bench_checks_out_path_before_running(capsys, monkeypatch, tmp_path):
     assert calls == []
 
 
+def test_bench_failed_run_keeps_earlier_out_file(capsys, monkeypatch, tmp_path):
+    import clipbench.bench as bench_mod
+    from clipbench.clippers import KERNELS
+
+    path = tmp_path / "r.csv"
+    path.write_text("old", encoding="utf-8")
+    monkeypatch.setattr(bench_mod, "KERNELS", {**KERNELS, AlgorithmId.PROPOSED: lambda *a: None})
+    code, _, err = run_cli(capsys, "bench", "--lines", "200", "--reps", "2", "--out", str(path))
+    assert code == 1
+    assert err.startswith("error:")
+    assert path.read_text(encoding="utf-8") == "old"
+    # A run that succeeds replaces a longer earlier report entirely.
+    monkeypatch.setattr(bench_mod, "KERNELS", KERNELS)
+    path.write_text("old\n" * 10_000, encoding="utf-8")
+    args = ("bench", "--lines", "200", "--reps", "2", "--format", "csv")
+    assert run_cli(capsys, *args, "--out", str(path))[0] == 0
+
+    def masked(text):  # drop the seconds column
+        return [row.split(",")[:2] + row.split(",")[3:] for row in text.splitlines()]
+
+    assert masked(path.read_text(encoding="utf-8")) == masked(run_cli(capsys, *args)[1])
+
+
 def test_bench_window_outside_space_exits_2(capsys):
     # verify shares the check, so it rides along as a second input.
     for command, size in (("bench", "--lines"), ("verify", "--cases")):
