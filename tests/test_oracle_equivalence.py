@@ -1,12 +1,12 @@
 """Cross-checks of the seven clippers against the exact rational clipper
 on a seeded random stream plus the adversarial suite, including pairwise
-agreement, and the corner-mask witnesses that acceptance criterion 5
-checks Skala against."""
+agreement and the corner-mask witness validation."""
 
 import pytest
 
 from clipbench.bench import _materialize
-from clipbench.clippers import KERNELS, AlgorithmId
+from clipbench.clippers import EDGE_TABLE, KERNELS, AlgorithmId
+from clipbench.clippers.skala import clip_coords as skala_clip
 from clipbench.geom import ClipWindow
 from clipbench.oracle import clip_exact
 from clipbench.verify import adversarial_segments, run_verification
@@ -152,3 +152,33 @@ def witness_segments(window):
 REALIZABLE_MASKS = {
     m for m in range(16) if m not in (0b0101, 0b1010)
 }
+
+
+def test_witnesses_cover_all_realizable_masks():
+    found = witness_segments(WINDOW)
+    assert set(found) == REALIZABLE_MASKS
+
+
+def test_skala_agrees_with_oracle_on_every_mask_witness():
+    bounds = WINDOW.bounds()
+    for mask, seg in witness_segments(WINDOW).items():
+        exact = clip_exact(seg, bounds)
+        got = skala_clip(*seg, *bounds)
+        if exact.grazing:
+            continue
+        if exact.accepted:
+            assert got is not None, (mask, seg)
+            expected = tuple(float(v) for v in (*exact.p1, *exact.p2))
+            assert got == pytest.approx(expected, abs=1e-9), (mask, seg)
+        else:
+            assert got is None, (mask, seg)
+
+
+def test_alternating_masks_are_unreachable_and_map_to_empty():
+    # f(c0) + f(c2) == f(c1) + f(c3) for affine f on rectangle corners,
+    # so strictly alternating corner signs are impossible.
+    assert EDGE_TABLE[0b0101] == ()
+    assert EDGE_TABLE[0b1010] == ()
+    found = witness_segments(WINDOW)
+    assert 0b0101 not in found
+    assert 0b1010 not in found
