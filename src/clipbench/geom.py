@@ -93,7 +93,10 @@ REJECTED = ClipResult(None)
 
 def require_window_in_space(window: ClipWindow, space: ClipWindow) -> None:
     """Raise ValueError unless the clip window lies inside the generation
-    space (boundary-inclusive)."""
+    space (boundary-inclusive) and the space's width and height are
+    finite doubles, as the stream's coordinate mapping needs."""
     w, s = window, space
+    if not (math.isfinite(s.xmax - s.xmin) and math.isfinite(s.ymax - s.ymin)):
+        raise ValueError("generation space width and height must be finite")
     if not (s.xmin <= w.xmin and w.xmax <= s.xmax and s.ymin <= w.ymin and w.ymax <= s.ymax):
         raise ValueError("window must be contained in the generation space")

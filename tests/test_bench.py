@@ -11,6 +11,7 @@ from clipbench.bench import (
     render_report,
     run_bench,
     speedup_percent,
+    _BLOCK,
     _materialize,
 )
 from clipbench.clippers import KERNELS, AlgorithmId
@@ -92,6 +93,39 @@ def test_materialized_buffer_matches_gen_segment_stream():
     whole, whole_state = _materialize(7, SPACE, 50)
     assert head + tail == whole
     assert end_state == whole_state
+
+
+def _reference_stream(seed, count):
+    # The stream as float.hex strings, from the independent generator and
+    # the documented mapping, and the state a splitmix64 stream reaches
+    # after 4 * count draws.
+    us = _splitmix_reference(seed, 4 * count)
+    lo = (SPACE.xmin, SPACE.ymin) * 2
+    span = (SPACE.xmax - SPACE.xmin, SPACE.ymax - SPACE.ymin) * 2
+    hexes = [(lo[i % 4] + (u / 2**64) * span[i % 4]).hex() for i, u in enumerate(us)]
+    return hexes, (seed + 4 * count * 0x9E3779B97F4A7C15) % 2**64
+
+
+def _hexes(buf):
+    return [c.hex() for seg in buf for c in seg]
+
+
+# Seeds near 2^64 wrap a lane's state inside the first block; the counts
+# fall on both sides of a block boundary.
+@pytest.mark.parametrize("seed", [0, 1, 2**64 - 1, 2**64 - 5])
+@pytest.mark.parametrize("count", [0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 7])
+def test_materialize_is_bit_identical_to_reference(seed, count):
+    buf, state = _materialize(seed, SPACE, count)
+    assert all(type(seg) is tuple and len(seg) == 4 for seg in buf)
+    assert (_hexes(buf), state) == _reference_stream(seed, count)
+
+
+def test_materialize_continues_across_a_block_seam():
+    # Split inside a block, so the continuation starts mid-block and its
+    # own last block is partial.
+    head, mid_state = _materialize(2**64 - 5, SPACE, _BLOCK + 3)
+    tail, end_state = _materialize(mid_state, SPACE, 2 * _BLOCK + 10)
+    assert (_hexes(head + tail), end_state) == _reference_stream(2**64 - 5, 3 * _BLOCK + 13)
 
 
 # ---------------------------------------------------------------------------

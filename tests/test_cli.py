@@ -259,6 +259,17 @@ def test_bench_window_outside_space_exits_2(capsys):
         assert "contained" in err, command
 
 
+def test_space_wider_than_a_double_exits_2(capsys):
+    # Each bound is finite but xmax - xmin overflows to inf, which the
+    # stream's mapping lo + (u / 2^64) * (hi - lo) cannot use.
+    for command, size in (("bench", "--lines"), ("verify", "--cases")):
+        code, out, err = run_cli(
+            capsys, command, size, "10", "--space", "-1e308", "-1e308", "1e308", "1e308",
+        )
+        assert (code, out) == (2, ""), command
+        assert err == "error: generation space width and height must be finite\n", command
+
+
 def test_bench_broken_invariant_exits_1_without_traceback(capsys, monkeypatch):
     import clipbench.bench as bench_mod
     from clipbench.clippers import KERNELS
