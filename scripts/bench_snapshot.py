@@ -25,17 +25,26 @@ between the sides is recorded, not fatal: a correctness fix changes it
 on purpose.  Running the same tree on both sides (an A/A snapshot) gives
 the ratio spread a claimed change must exceed.
 
+Both sides run with ``PYTHONDONTWRITEBYTECODE=1``, and before any run
+the snapshot refuses a side whose ``src/`` holds a ``__pycache__``
+directory.  A tree with cached bytecode imports faster than one that
+compiles every module from source, as a fresh ``git archive`` does, and
+that would lean ``setup_s`` and every wall time toward it.  The
+snapshot does not delete the cache; it names the directory.
+
 Exits with a message naming the side and the workload when a run exits
 nonzero or reports ``correct: false``, or when one side's fingerprint
 changes between its own runs; and, before any run, when
-``DIR/perfbench/run.py`` is missing or ``DIR/perfbench/reference.py``
-differs from this checkout's copy.
+``DIR/perfbench/run.py`` is missing, ``DIR/perfbench/reference.py``
+differs from this checkout's copy, or either side's ``src/`` holds a
+``__pycache__`` directory.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -63,13 +72,22 @@ def _check_parent(parent: Path) -> None:
         )
 
 
+def _check_no_bytecode(checkouts: dict) -> None:
+    for side, checkout in checkouts.items():
+        cache = next((checkout / "src").rglob("__pycache__"), None)
+        if cache is not None:
+            raise SystemExit(
+                f"{side}: {cache} holds cached bytecode, which the other side may not "
+                "have; delete it so both sides compile from source")
+
+
 def _perfbench(checkout: Path, side: str, workload: str, seconds: float, metrics) -> dict:
     """One ``perfbench/run.py`` run; its environment, fingerprint and result."""
     where = f"{side} {workload}"
     proc = subprocess.run(
         [sys.executable, str(checkout / "perfbench" / "run.py"), "--workload", workload,
          "--seed", str(SEED), "--seconds", str(seconds), "--trace", "0"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=dict(os.environ, PYTHONDONTWRITEBYTECODE="1"),
     )
     if proc.returncode != 0:
         raise SystemExit(
@@ -99,9 +117,8 @@ def _summary(values) -> dict:
             "max": max(values), "iqr": q3 - q1}
 
 
-def _workload(parent: Path, workload: str, seconds: float, end_to_end: dict) -> dict:
+def _workload(checkouts: dict, workload: str, seconds: float, end_to_end: dict) -> dict:
     """PAIRS interleaved pairs of one workload, summarised."""
-    checkouts = {"parent": parent, "change": ROOT}
     runs = {side: [] for side in SIDES}
     first = []
     for pair in range(PAIRS):
@@ -136,13 +153,15 @@ def _workload(parent: Path, workload: str, seconds: float, end_to_end: dict) -> 
 
 def snapshot(label: str, parent: Path) -> dict:
     _check_parent(parent)
+    checkouts = {"parent": parent, "change": ROOT}
+    _check_no_bytecode(checkouts)
     spec = _benchmark()
     seconds = spec["run_seconds"]
     end_to_end = {m["name"]: m["better"] for m in spec["end_to_end"]}
     return {
         "label": label,
         "protocol": {"pairs": PAIRS, "seed": SEED, "seconds": seconds, "trace": 0},
-        "workloads": {w["name"]: _workload(parent, w["name"], seconds, end_to_end)
+        "workloads": {w["name"]: _workload(checkouts, w["name"], seconds, end_to_end)
                       for w in spec["workloads"]},
     }
 

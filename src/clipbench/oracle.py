@@ -15,20 +15,24 @@ line, segment endpoints lying exactly on the boundary, and supporting
 lines that touch the closed window in exactly one point.
 
 One fast path skips the integer lift.  When all eight coordinates are
-exact ``float`` instances and both endpoints lie strictly beyond the
-same window side, plain float comparisons already prove the reject.
-Its grazing flag then depends only on whether the supporting line
-passes through a window corner, and Shewchuk's filtered orient2d
-predicate (Adaptive Precision Floating-Point Arithmetic and Fast Robust
-Geometric Predicates, 1997) certifies in floats that it passes through
-none.  Only a certified case returns early, as a non-grazing reject.
-Every other case takes the integer path: accepts, rejects that are not
-trivially outside one side, orientations too close to zero for the
-error bound, underflow-scale, infinite or NaN values, and every
-non-float input.  So the outcome is the exact one either way.  The
-fast path tests what Cohen-Sutherland's trivial reject tests, but its
-comparisons are exact and it uses a float sign only when certified, so
-it has no rounding error to share with any clipper.
+exact ``float`` instances, Shewchuk's filtered orient2d predicate
+(Adaptive Precision Floating-Point Arithmetic and Fast Robust Geometric
+Predicates, 1997) certifies in floats the sign of each window corner's
+orientation against the supporting line.  Two certified rejects follow.
+If both endpoints lie strictly beyond the same window side, plain float
+comparisons prove the reject, and four certified nonzero orientations
+prove the line passes through no corner, so it is not grazing.  If the
+four orientations are certified nonzero with one sign, every corner lies
+strictly on one side of the line, so the line misses the closed window
+(Skala's corner-sign test, 2005): again a non-grazing reject.  Only a
+certified case returns early.  Every other case takes the integer path:
+accepts, orientations too close to zero for the error bound, point
+segments, underflow-scale, infinite or NaN values, and every non-float
+input.  So the outcome is the exact one either way.  The fast path
+tests what Cohen-Sutherland's trivial reject and Skala's corner signs
+test, but its comparisons are exact and it uses a float sign only when
+certified, not rounded, so it has no rounding error to share with any
+clipper.
 """
 
 from __future__ import annotations
@@ -157,23 +161,34 @@ def _certified_plain_reject(x1, y1, x2, y2, xmin, ymin, xmax, ymax) -> bool:
     """True when double arithmetic alone proves the exact outcome is a
     non-grazing reject; False means "not proven", never "accepted".
 
-    Both endpoints must lie strictly beyond one window side, so the
-    segment misses the closed window, and every window corner must be
-    certified off the supporting line, so the line touches no corner.
-    Each corner test is Shewchuk's stage-A filtered orient2d: the float
+    Both proofs rest on the four window-corner orientations against the
+    supporting line, each Shewchuk's stage-A filtered orient2d: the float
     ``detleft - detright`` is nonzero with the exact sign when its
     magnitude exceeds ``_ORIENT_ERRBOUND * (|detleft| + |detright|)``.
     That bound assumes neither overflow nor underflow, so a non-finite
     or underflow-scale sum, which NaN and infinite coordinates produce,
-    is not certified.  Arguments must be exact floats.
+    is not certified.  A point segment has no supporting line; its
+    orientations are exactly zero and never certified.
+
+    - Both endpoints lie strictly beyond one window side, so the segment
+      misses the closed window, and all four orientations are certified
+      nonzero, so the line touches no corner.
+    - All four orientations are certified nonzero with one sign, so every
+      corner lies strictly on one side of the line and the line misses
+      the closed window (Skala's corner-sign test).  A certified sign is
+      the exact sign, not a rounded one, so this shares no rounding
+      error with the Skala clipper, which tests the same signs in floats.
+
+    A segment that is not trivially outside returns at the first pair of
+    certified signs that differ, since its line meets the window.
+    Arguments must be exact floats.
     """
-    if not (
+    outside = (
         (x1 < xmin and x2 < xmin)
         or (x1 > xmax and x2 > xmax)
         or (y1 < ymin and y2 < ymin)
         or (y1 > ymax and y2 > ymax)
-    ):
-        return False
+    )
     ax0 = x1 - xmin
     ax1 = x1 - xmax
     ay0 = y1 - ymin
@@ -182,17 +197,24 @@ def _certified_plain_reject(x1, y1, x2, y2, xmin, ymin, xmax, ymax) -> bool:
     bx1 = x2 - xmax
     by0 = y2 - ymin
     by1 = y2 - ymax
-    for detleft, detright in (
-        (ax0 * by0, ay0 * bx0),
-        (ax1 * by0, ay0 * bx1),
-        (ax1 * by1, ay1 * bx1),
-        (ax0 * by1, ay1 * bx0),
+    positive = None
+    # Opposite corners first: a line that meets the window usually
+    # separates them, which settles the segment after two orientations.
+    for ax, ay, bx, by in (
+        (ax0, ay0, bx0, by0),
+        (ax1, ay1, bx1, by1),
+        (ax1, ay0, bx1, by0),
+        (ax0, ay1, bx0, by1),
     ):
+        detleft = ax * by
+        detright = ay * bx
+        det = detleft - detright
         detsum = abs(detleft) + abs(detright)
-        if not (
-            _ORIENT_TINY < detsum < inf
-            and abs(detleft - detright) > _ORIENT_ERRBOUND * detsum
-        ):
+        if not (_ORIENT_TINY < detsum < inf and abs(det) > _ORIENT_ERRBOUND * detsum):
+            return False
+        if positive is None:
+            positive = det > 0
+        elif positive is not (det > 0) and not outside:
             return False
     return True
 

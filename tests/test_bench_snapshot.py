@@ -27,29 +27,50 @@ def snapshot_module(monkeypatch):
     return module
 
 
-def _checkout_copy(tmp_path):
-    """A checkout root with perfbench/ and BENCHMARK.json but no clipbench sources."""
-    shutil.copytree(ROOT / "perfbench", tmp_path / "perfbench",
-                    ignore=shutil.ignore_patterns("__pycache__"))
+def _checkout_copy(tmp_path, sources=False):
+    """A checkout root with perfbench/ and BENCHMARK.json, and the clipbench
+    sources only when asked; never a __pycache__ directory."""
+    no_cache = shutil.ignore_patterns("__pycache__")
+    shutil.copytree(ROOT / "perfbench", tmp_path / "perfbench", ignore=no_cache)
     shutil.copy(ROOT / "BENCHMARK.json", tmp_path)
-    (tmp_path / "src").mkdir()
+    if sources:
+        shutil.copytree(ROOT / "src", tmp_path / "src", ignore=no_cache)
+    else:
+        (tmp_path / "src").mkdir()
     return tmp_path
 
 
-# Stands in for a parent's run.py: its fingerprint counts the runs.
-STUB_RUN = """import json, pathlib
+def _stub_sides(module, tmp_path, monkeypatch, stub):
+    """Parent and change checkouts that both run ``stub`` as perfbench/run.py."""
+    parent, change = (_checkout_copy(tmp_path / side) for side in ("p", "c"))
+    for checkout in (parent, change):
+        (checkout / "perfbench" / "run.py").write_text(stub, encoding="utf-8")
+    monkeypatch.setattr(module, "ROOT", change)
+    return parent, change
+
+
+# Stands in for a perfbench/run.py: its fingerprint is FINGERPRINT, and it
+# counts its runs in a file beside it.
+STUB_RUN = """import json, os, pathlib
 count = pathlib.Path(__file__).with_name("count")
 n = int(count.read_text()) if count.exists() else 0
 count.write_text(str(n + 1))
 print(json.dumps({"environment": {}}))
-print(json.dumps({"fingerprint": n}))
+print(json.dumps({"fingerprint": FINGERPRINT}))
 metrics = {m["name"]: {"value": 1.0} for m in json.loads(pathlib.Path(%r).read_text())["end_to_end"]}
 print(json.dumps({"correct": CORRECT, "attempted": 1, "failed": 0, "metrics": metrics}))
-"""
+""" % str(ROOT / "BENCHMARK.json")
 
 
-def test_snapshot_records_walls_environment_and_outcomes(snapshot_module):
-    result = snapshot_module.snapshot("t", ROOT)
+def _stub(correct="True", fingerprint="n"):
+    return STUB_RUN.replace("CORRECT", correct).replace("FINGERPRINT", fingerprint)
+
+
+def test_snapshot_records_walls_environment_and_outcomes(snapshot_module, tmp_path, monkeypatch):
+    # Copies without bytecode caches, which the snapshot refuses.
+    parent, change = (_checkout_copy(tmp_path / side, sources=True) for side in ("p", "c"))
+    monkeypatch.setattr(snapshot_module, "ROOT", change)
+    result = snapshot_module.snapshot("t", parent)
     json.dumps(result)
     assert result["protocol"]["pairs"] == 2 and result["protocol"]["seconds"] == 0
     end_to_end = [m["name"] for m in snapshot_module._benchmark()["end_to_end"]]
@@ -96,10 +117,27 @@ def test_snapshot_fails_loudly_when_a_run_fails(snapshot_module, tmp_path, monke
         ("False", "^parent bench_chunked: perfbench/run.py reported correct: false"),
         ("True", "^change bench_chunked: fingerprint changed between runs"),
     ):
-        stub = STUB_RUN.replace("CORRECT", correct) % str(ROOT / "BENCHMARK.json")
-        parent, change = (_checkout_copy(tmp_path / correct / side) for side in ("p", "c"))
-        for checkout in (parent, change):
-            (checkout / "perfbench" / "run.py").write_text(stub, encoding="utf-8")
-        monkeypatch.setattr(snapshot_module, "ROOT", change)
+        parent, _ = _stub_sides(snapshot_module, tmp_path / correct, monkeypatch, _stub(correct))
         with pytest.raises(SystemExit, match=message):
             snapshot_module.snapshot("t", parent)
+
+
+def test_snapshot_runs_both_sides_without_bytecode_caches(snapshot_module, tmp_path, monkeypatch):
+    # Each side's fingerprint is the PYTHONDONTWRITEBYTECODE its run saw.
+    monkeypatch.delenv("PYTHONDONTWRITEBYTECODE", raising=False)
+    stub = _stub(fingerprint='os.environ.get("PYTHONDONTWRITEBYTECODE")')
+    parent, change = _stub_sides(snapshot_module, tmp_path, monkeypatch, stub)
+    record = snapshot_module.snapshot("t", parent)["workloads"]["bench_chunked"]
+    assert record["parent"]["fingerprint"] == record["change"]["fingerprint"] == "1"
+
+    # A cache on either side is refused, and left in place, before any run.
+    for checkout in (parent, change):
+        (checkout / "perfbench" / "count").unlink()
+    for side, checkout in (("change", change), ("parent", parent)):
+        cache = checkout / "src" / "clipbench" / "__pycache__"
+        cache.mkdir(parents=True)
+        with pytest.raises(SystemExit, match=f"^{side}: {cache} holds cached bytecode"):
+            snapshot_module.snapshot("t", parent)
+        assert cache.is_dir()
+        shutil.rmtree(cache)
+    assert not any((c / "perfbench" / "count").exists() for c in (parent, change))

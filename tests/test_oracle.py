@@ -189,8 +189,8 @@ def test_float_inputs_match_fraction_inputs(shift, scale, monkeypatch):
     # reference for the float reject path.
     space = ClipWindow(*(v * scale + shift for v in (-960.0, -720.0, 960.0, 720.0)))
     window = tuple(v * scale + shift for v in WF)
-    segs, _ = _materialize(11, space, 3000)
-    segs += adversarial_segments(ClipWindow(*window))
+    randoms, _ = _materialize(11, space, 3000)
+    segs = randoms + adversarial_segments(ClipWindow(*window))
     frac_window = tuple(map(Fraction, window))
 
     interval_tests = []
@@ -201,12 +201,13 @@ def test_float_inputs_match_fraction_inputs(shift, scale, monkeypatch):
         return interval_ints(*args)
 
     monkeypatch.setattr(oracle, "_interval_ints", counting_interval_ints)
-    as_floats = [clip_exact(seg, window) for seg in segs]
-    float_tests = len(interval_tests)
+    as_floats = [clip_exact(seg, window) for seg in randoms]
+    # Every random reject, trivially outside one side or not, is
+    # certified in floats, so only the accepts reach the integer
+    # interval test.
+    assert len(interval_tests) == sum(o.accepted for o in as_floats)
+    as_floats += [clip_exact(seg, window) for seg in segs[len(randoms):]]
     assert as_floats == [clip_exact(tuple(map(Fraction, seg)), frac_window) for seg in segs]
-    # Most of the stream lies trivially outside one side, so given as
-    # floats it mostly never reaches the integer interval test.
-    assert float_tests < (len(interval_tests) - float_tests) / 2
 
 
 def test_outputs_are_reduced_rationals_with_positive_denominators():

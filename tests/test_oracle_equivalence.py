@@ -4,12 +4,18 @@ agreement and the corner-mask witness validation."""
 
 import pytest
 
+from clipbench import verify
 from clipbench.bench import _materialize
 from clipbench.clippers import EDGE_TABLE, KERNELS, AlgorithmId
 from clipbench.clippers.skala import clip_coords as skala_clip
 from clipbench.geom import ClipWindow
 from clipbench.oracle import clip_exact
-from clipbench.verify import adversarial_segments, run_verification
+from clipbench.verify import (
+    AlgorithmCheck,
+    VerificationReport,
+    adversarial_segments,
+    run_verification,
+)
 
 SPACE = ClipWindow(-960.0, -720.0, 960.0, 720.0)
 WINDOW = ClipWindow(-100.0, -75.0, 100.0, 75.0)
@@ -22,6 +28,80 @@ def test_random_sweep_and_adversarial_suite_have_no_mismatches():
     ]
     for check in report.checks:
         assert check.matches + check.grazing_exempt == 5000 + report.adversarial_cases
+
+
+def _row_wise_report(cases, seed, space, window, kernels):
+    """Reference sweep: the oracle and then every kernel, case by case."""
+    kernel_map = dict(KERNELS)
+    kernel_map.update(kernels)
+    bounds = window.bounds()
+    x0, y0, x1, y1 = bounds
+    pad = 1e-9 * max(1.0, x1 - x0, y1 - y0)
+    random_buf, _ = verify._materialize(seed, space, cases)
+    suite = adversarial_segments(window)
+    checks = [AlgorithmCheck(a) for a in AlgorithmId]
+    random_grazing = 0
+    for idx, seg in enumerate(random_buf + suite):
+        exact = clip_exact(seg, bounds)
+        random_grazing += exact.grazing and idx < cases
+        for check in checks:
+            res = kernel_map[check.algorithm](*seg, *bounds)
+            if exact.grazing:
+                if res is None or verify._grazing_accept_valid(
+                        res, seg, x0, y0, x1, y1, pad, 1e-9):
+                    check.grazing_exempt += 1
+                else:
+                    check.fail(seg, "grazing accept violates containment or collinearity")
+            elif not exact.accepted:
+                if res is None:
+                    check.matches += 1
+                else:
+                    check.fail(seg, "accepts where the exact clipper rejects")
+            elif res is None:
+                check.fail(seg, "rejects where the exact clipper accepts")
+            elif any(abs(r - float(e)) > 1e-9 for r, e in zip(res, (*exact.p1, *exact.p2))):
+                check.fail(seg, "accepted endpoints differ from the exact clip")
+            else:
+                check.matches += 1
+    return VerificationReport(cases, len(suite), random_grazing, checks)
+
+
+def _offset_lb(*args):
+    res = KERNELS[AlgorithmId.LIANG_BARSKY](*args)
+    return res if res is None else (res[0] + 1e-6, *res[1:])
+
+
+def _flipped_cs(*args):
+    if KERNELS[AlgorithmId.COHEN_SUTHERLAND](*args) is None:
+        return args[:4]
+    return None
+
+
+@pytest.mark.parametrize(
+    "cases", [0, 1, verify._BLOCK - 1, verify._BLOCK, verify._BLOCK + 1]
+)
+def test_block_seams_keep_tallies_and_failure_order(cases, monkeypatch):
+    # The random stream carries a window-corner point, which is grazing,
+    # at every 1000th case and the last, so random_grazing counts cases on
+    # both sides of a seam; with BLOCK - 1 cases the first suite case, the
+    # grazing center point, ends the first block.
+    generate = verify._materialize
+    corner = WINDOW.bounds()[:2] * 2
+
+    def with_grazing(state, space, count):
+        buf, state = generate(state, space, count)
+        return [corner if i % 1000 == 999 or i == count - 1 else seg
+                for i, seg in enumerate(buf)], state
+
+    monkeypatch.setattr(verify, "_materialize", with_grazing)
+    kernels = {AlgorithmId.LIANG_BARSKY: _offset_lb, AlgorithmId.COHEN_SUTHERLAND: _flipped_cs}
+    report = run_verification(cases, 3, SPACE, WINDOW, kernels=kernels)
+    assert report == _row_wise_report(cases, 3, SPACE, WINDOW, kernels)
+    assert report.random_grazing == sum(i % 1000 == 999 or i == cases - 1 for i in range(cases))
+    flipped = report.checks[0]
+    assert flipped.mismatches > len(flipped.failures) == 10
+    assert report.checks[1].mismatches > 0
+    assert all(c.mismatches == 0 for c in report.checks[2:])
 
 
 # The tallies the benchmark's verify_sweep workload fingerprints at seed 7:
