@@ -7,8 +7,13 @@ once, one chunk of at most ``CHUNK_SIZE`` segments at a time, and each
 chunk is clipped by every repetition and every algorithm before the next
 one is generated.  Timing covers the clip calls only: generation happens
 before the timer starts and results are folded into a checksum after it
-stops.  A warm-up pass over each chunk runs first and is neither timed
-into the report nor folded.
+stops.  A warm-up runs first on each chunk: every algorithm clips the
+chunk's first 1,024 segments, neither timed into the report nor folded.
+Measured against its later passes, a kernel's first timed pass is as
+fast after that prefix as after a warm-up over the whole chunk, within
+the host's noise, so a full pass would only cost time.  The first pass
+does take the page faults of the heap's growth, about 1% of its time
+at 200k lines (README, "Benchmark semantics").
 """
 
 from __future__ import annotations
@@ -47,6 +52,10 @@ _TWO64 = float(2**64)
 # Buffers are capped so a ten-million-line run never holds more than one
 # chunk of segments at a time; the timer accumulates across chunks.
 CHUNK_SIZE = 1_000_000
+
+# Segments of each chunk that every kernel clips in the warm-up; the
+# module docstring says why a prefix is enough.
+_WARMUP = 1024
 
 # splitmix64: the state advances by _GAMMA, then _MIX1 and _MIX2 mix it.
 _GAMMA = 0x9E3779B97F4A7C15
@@ -279,11 +288,13 @@ def run_bench(config: BenchConfig) -> BenchReport:
     """Run the timed protocol and check the invariants the report promises.
 
     Each chunk of the stream is materialized once, then clipped by every
-    repetition (0 is the warm-up, neither timed nor folded) and, within a
-    repetition, by every algorithm.  Each (algorithm, repetition) timer
-    and checksum accumulates across chunks.  Raises BenchInvariantError
-    when the algorithms disagree on the accepted count or when one
-    algorithm's accepted count or checksum differs between repetitions.
+    repetition and, within a repetition, by every algorithm.  Repetition
+    0 is the warm-up: it clips only the chunk's first ``_WARMUP``
+    segments and is neither timed nor folded.  Each (algorithm,
+    repetition) timer and checksum accumulates across chunks.  Raises
+    BenchInvariantError when the algorithms disagree on the accepted
+    count or when one algorithm's accepted count or checksum differs
+    between repetitions.
     """
     wx0, wy0, wx1, wy1 = config.window.bounds()
     kernels = [(algo, KERNELS[algo]) for algo in config.algorithms]
@@ -299,11 +310,12 @@ def run_bench(config: BenchConfig) -> BenchReport:
         buf, state = _materialize(state, config.space, count)
         remaining -= count
         for rep in range(config.repetitions + 1):
+            segs = buf if rep else buf[:_WARMUP]
             for algo, kernel in kernels:
                 t0 = perf()
                 results = [
                     kernel(ax, ay, bx, by, wx0, wy0, wx1, wy1)
-                    for ax, ay, bx, by in buf
+                    for ax, ay, bx, by in segs
                 ]
                 dt = perf() - t0
                 if rep:  # rep 0 is the warm-up

@@ -12,6 +12,7 @@ from clipbench.bench import (
     run_bench,
     speedup_percent,
     _BLOCK,
+    _WARMUP,
     _materialize,
 )
 from clipbench.clippers import KERNELS, AlgorithmId
@@ -271,24 +272,64 @@ def test_disagreeing_accepted_counts_raise(monkeypatch):
 
 
 def test_checksum_changing_between_reps_raises(monkeypatch):
-    # Clips like Proposed over the warm-up and the first repetition, then
-    # nudges every accepted endpoint: accepted counts still agree, but the
-    # second repetition's checksum differs from the first.
+    # Clips like Proposed over the warm-up (the first min(lines, _WARMUP)
+    # segments) and the first repetition, then nudges every accepted
+    # endpoint: accepted counts still agree, but the second repetition's
+    # checksum differs from the first.
     real = KERNELS[AlgorithmId.PROPOSED]
-    lines = 500
+    for lines in (500, _WARMUP + 500):
+        drift_after = min(lines, _WARMUP) + lines
+        calls = [0]
+
+        def drifting(*args):
+            calls[0] += 1
+            r = real(*args)
+            if r is None or calls[0] <= drift_after:
+                return r
+            return tuple(v + 1e-6 for v in r)
+
+        _with_proposed_kernel(monkeypatch, drifting)
+        cfg = BenchConfig(lines_per_run=lines, repetitions=2, seed=4)
+        with pytest.raises(RuntimeError, match="Proposed rep 2 checksum"):
+            run_bench(cfg)
+
+
+def test_warm_up_clips_a_prefix_of_each_chunk(monkeypatch):
+    import clipbench.bench as bench_mod
+
+    real = KERNELS[AlgorithmId.PROPOSED]
+    lines, reps = 2500, 2
+    monkeypatch.setattr(bench_mod, "CHUNK_SIZE", 1500)
+    chunks = [1500, 1000]
+    assert chunks[0] > _WARMUP > chunks[1]
+    expected_calls = sum(min(_WARMUP, c) for c in chunks) + reps * lines
+    # Proposed's calls in order: per chunk, its warm-up, then every rep.
+    warm_up_calls = set()
+    first = 0
+    for chunk in chunks:
+        warm_up_calls.update(range(first, first + min(_WARMUP, chunk)))
+        first += min(_WARMUP, chunk) + reps * chunk
     calls = [0]
 
-    def drifting(*args):
+    def counting(*args):
         calls[0] += 1
-        r = real(*args)
-        if r is None or calls[0] <= 2 * lines:
-            return r
-        return tuple(v + 1e-6 for v in r)
+        return real(*args)
 
-    _with_proposed_kernel(monkeypatch, drifting)
-    cfg = BenchConfig(lines_per_run=lines, repetitions=2, seed=4)
-    with pytest.raises(RuntimeError, match="Proposed rep 2 checksum"):
-        run_bench(cfg)
+    def rejecting_warm_up(*args):
+        calls[0] += 1
+        return None if calls[0] - 1 in warm_up_calls else real(*args)
+
+    cfg = BenchConfig(lines_per_run=lines, repetitions=reps, seed=6,
+                      algorithms=(AlgorithmId.COHEN_SUTHERLAND, AlgorithmId.PROPOSED))
+    key = lambda r: [(t.algorithm, t.run_index, t.accepted_count, t.checksum) for t in r.timings]
+    _with_proposed_kernel(monkeypatch, counting)
+    real_report = run_bench(cfg)
+    assert calls[0] == expected_calls
+    calls[0] = 0
+    _with_proposed_kernel(monkeypatch, rejecting_warm_up)
+    assert key(run_bench(cfg)) == key(real_report)
+    assert calls[0] == expected_calls
+    assert real_report.timings[0].accepted_count > 0
 
 
 # ---------------------------------------------------------------------------
