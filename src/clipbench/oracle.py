@@ -14,6 +14,12 @@ degenerate to a single point, segments lying exactly on a boundary edge
 line, segment endpoints lying exactly on the boundary, and supporting
 lines that touch the closed window in exactly one point.
 
+A sweep clips many segments against one window, so the window can be
+prepared once: ``_ExactWindow`` validates the bounds, lifts them to
+integers through the cached ``_lift_window`` and records whether all
+four are exact ``float`` instances.  ``clip_exact`` takes a prepared
+window or any bounds form, which it prepares per call.
+
 One fast path skips the integer lift.  When all eight coordinates are
 exact ``float`` instances, Shewchuk's filtered orient2d predicate
 (Adaptive Precision Floating-Point Arithmetic and Fast Robust Geometric
@@ -33,11 +39,19 @@ tests what Cohen-Sutherland's trivial reject and Skala's corner signs
 test, but its comparisons are exact and it uses a float sign only when
 certified, not rounded, so it has no rounding error to share with any
 clipper.
+
+An accept keeps its endpoints as the integers the clip produced: two
+numerators over one positive denominator per endpoint.  ``p1`` and
+``p2`` build reduced ``Fraction`` pairs from them when read, and
+``_float_ends`` returns each coordinate as ``n / d``.  Python's int true
+division is correctly rounded, so ``n / d`` is the double nearest the
+exact value, the same double as ``float(Fraction(n, d))``.  Every value
+stays exact up to that one rounding, so the oracle still shares no
+arithmetic with any clipper.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import inf, lcm
@@ -50,18 +64,103 @@ __all__ = ["ExactClipOutcome", "clip_exact"]
 RationalPoint = tuple[Fraction, Fraction]
 
 
-@dataclass(frozen=True)
 class ExactClipOutcome:
-    """Accept with exact rational endpoints, or reject; plus the grazing flag."""
+    """Accept with exact rational endpoints, or reject; plus the grazing flag.
 
-    accepted: bool
-    grazing: bool
-    p1: Optional[RationalPoint] = None
-    p2: Optional[RationalPoint] = None
+    An immutable value, equal and hashed by ``accepted``, ``grazing``,
+    ``p1`` and ``p2``.  An accept keeps its endpoints as integer
+    numerators over two positive denominators, one per endpoint, and
+    ``p1`` and ``p2`` build reduced ``Fraction`` pairs from them when
+    read.  ``p1`` and ``p2`` are None on a reject.
+    """
+
+    __slots__ = ("accepted", "grazing", "_ends")
+
+    def __init__(
+        self,
+        accepted: bool,
+        grazing: bool,
+        p1: Optional[RationalPoint] = None,
+        p2: Optional[RationalPoint] = None,
+    ) -> None:
+        ends = None if p1 is None else (*_common_ratio(p1), *_common_ratio(p2))
+        _init_outcome(self, accepted, grazing, ends)
+
+    @property
+    def p1(self) -> Optional[RationalPoint]:
+        if self._ends is None:
+            return None
+        x, y, d = self._ends[:3]
+        return Fraction(x, d), Fraction(y, d)
+
+    @property
+    def p2(self) -> Optional[RationalPoint]:
+        if self._ends is None:
+            return None
+        x, y, d = self._ends[3:]
+        return Fraction(x, d), Fraction(y, d)
+
+    def _float_ends(self) -> tuple[float, float, float, float]:
+        """An accept's endpoints as the nearest doubles, x1, y1, x2, y2.
+
+        Python's int true division is correctly rounded, so each ``n / d``
+        equals ``float(Fraction(n, d))`` without building the Fraction.
+        """
+        x1, y1, d1, x2, y2, d2 = self._ends
+        return x1 / d1, y1 / d1, x2 / d2, y2 / d2
+
+    def _key(self) -> tuple:
+        return self.accepted, self.grazing, self.p1, self.p2
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return (
+            f"ExactClipOutcome(accepted={self.accepted!r}, grazing={self.grazing!r}, "
+            f"p1={self.p1!r}, p2={self.p2!r})"
+        )
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return ExactClipOutcome, self._key()
+
+
+def _common_ratio(point) -> tuple[int, int, int]:
+    """A rational point as two integer numerators over one positive
+    denominator."""
+    (xn, xd), (yn, yd) = (v.as_integer_ratio() for v in point)
+    return xn * yd, yn * xd, xd * yd
+
+
+def _init_outcome(outcome, accepted, grazing, ends) -> None:
+    # Frozen fields are set through object.__setattr__, as dataclasses do.
+    setattr_ = object.__setattr__
+    setattr_(outcome, "accepted", accepted)
+    setattr_(outcome, "grazing", grazing)
+    setattr_(outcome, "_ends", ends)
+
+
+def _accept(grazing: bool, ends: tuple) -> ExactClipOutcome:
+    """An accept from ``(x1, y1, d1, x2, y2, d2)``, endpoint i at
+    ``(xi / di, yi / di)`` with ``di > 0``."""
+    outcome = object.__new__(ExactClipOutcome)
+    _init_outcome(outcome, True, grazing, ends)
+    return outcome
 
 
 # Rejects carry no endpoints, so every reject shares one of these two
-# frozen instances instead of building a new one per case.
+# instances instead of building a new one per case.
 _REJECT = ExactClipOutcome(False, False)
 _REJECT_GRAZING = ExactClipOutcome(False, True)
 
@@ -102,6 +201,30 @@ def _lift_window(bounds) -> tuple[int, int, int, int, int]:
     if not (xmin < xmax and ymin < ymax):
         raise ValueError("window bounds must satisfy xmin < xmax and ymin < ymax")
     return xmin, ymin, xmax, ymax, WL
+
+
+class _ExactWindow:
+    """A clip window validated and lifted once, for many ``clip_exact``
+    calls; ``run_verification`` builds one per sweep.
+
+    ``bounds`` is the 4-tuple of bounds as given, ``lifted`` their
+    ``_lift_window`` form, and ``floats`` whether all four are of exact
+    type ``float``, the precondition of the float reject path.  Reversed
+    bounds raise ValueError, and so do non-finite ones, which have no
+    integer ratio.
+    """
+
+    __slots__ = ("bounds", "lifted", "floats")
+
+    def __init__(self, bounds) -> None:
+        bounds = _coords(bounds, "window")
+        try:
+            self.lifted = _lift_window(bounds)
+        except OverflowError:
+            raise ValueError("window bounds must be finite") from None
+        self.bounds = bounds
+        xmin, ymin, xmax, ymax = bounds
+        self.floats = type(xmin) is type(ymin) is type(xmax) is type(ymax) is float
 
 
 def _interval_ints(X1, Y1, DX, DY, XMIN, YMIN, XMAX, YMAX):
@@ -181,8 +304,13 @@ def _certified_plain_reject(x1, y1, x2, y2, xmin, ymin, xmax, ymax) -> bool:
 
     A segment that is not trivially outside returns at the first pair of
     certified signs that differ, since its line meets the window.
-    Arguments must be exact floats.
+    Opposite corners come first: a line that meets the window usually
+    separates them, which settles the segment after two orientations.
+    The four corners are written out rather than looped over, which
+    saves building and unpacking a tuple per corner, and the constants
+    are read into locals once.  Arguments must be exact floats.
     """
+    tiny, huge, errbound = _ORIENT_TINY, inf, _ORIENT_ERRBOUND
     outside = (
         (x1 < xmin and x2 < xmin)
         or (x1 > xmax and x2 > xmax)
@@ -197,53 +325,70 @@ def _certified_plain_reject(x1, y1, x2, y2, xmin, ymin, xmax, ymax) -> bool:
     bx1 = x2 - xmax
     by0 = y2 - ymin
     by1 = y2 - ymax
-    positive = None
-    # Opposite corners first: a line that meets the window usually
-    # separates them, which settles the segment after two orientations.
-    for ax, ay, bx, by in (
-        (ax0, ay0, bx0, by0),
-        (ax1, ay1, bx1, by1),
-        (ax1, ay0, bx1, by0),
-        (ax0, ay1, bx0, by1),
-    ):
-        detleft = ax * by
-        detright = ay * bx
-        det = detleft - detright
-        detsum = abs(detleft) + abs(detright)
-        if not (_ORIENT_TINY < detsum < inf and abs(det) > _ORIENT_ERRBOUND * detsum):
-            return False
-        if positive is None:
-            positive = det > 0
-        elif positive is not (det > 0) and not outside:
-            return False
-    return True
+    # Corner (xmin, ymin).
+    detleft = ax0 * by0
+    detright = ay0 * bx0
+    det = detleft - detright
+    detsum = abs(detleft) + abs(detright)
+    if not (tiny < detsum < huge and abs(det) > errbound * detsum):
+        return False
+    positive = det > 0
+    # Corner (xmax, ymax).
+    detleft = ax1 * by1
+    detright = ay1 * bx1
+    det = detleft - detright
+    detsum = abs(detleft) + abs(detright)
+    if not (tiny < detsum < huge and abs(det) > errbound * detsum):
+        return False
+    if positive is not (det > 0) and not outside:
+        return False
+    # Corner (xmax, ymin).
+    detleft = ax1 * by0
+    detright = ay0 * bx1
+    det = detleft - detright
+    detsum = abs(detleft) + abs(detright)
+    if not (tiny < detsum < huge and abs(det) > errbound * detsum):
+        return False
+    if positive is not (det > 0) and not outside:
+        return False
+    # Corner (xmin, ymax).
+    detleft = ax0 * by1
+    detright = ay1 * bx0
+    det = detleft - detright
+    detsum = abs(detleft) + abs(detright)
+    if not (tiny < detsum < huge and abs(det) > errbound * detsum):
+        return False
+    return positive is (det > 0) or outside
 
 
 def clip_exact(seg, window) -> ExactClipOutcome:
     """Exact parametric clip of a segment against a window.
 
     ``seg`` is a Segment or any 4-sequence (x1, y1, x2, y2); ``window``
-    is a ClipWindow or any 4-sequence (xmin, ymin, xmax, ymax).
-    Coordinates may be of any type with an exact ``as_integer_ratio()``:
-    float, int, Fraction or Decimal.
+    is a ClipWindow, any 4-sequence (xmin, ymin, xmax, ymax), or a window
+    prepared once by ``_ExactWindow``.  Coordinates may be of any type
+    with an exact ``as_integer_ratio()``: float, int, Fraction or
+    Decimal.  A bad window raises ValueError, or OverflowError for an
+    infinite bound when it is not prepared.
     """
-    x1, y1, x2, y2 = _coords(seg, "segment")
-    bounds = _coords(window, "window")
-    # Lifting first validates the window on every path, the fast one too.
-    wx0, wy0, wx1, wy1, WL = _lift_window(bounds)
-    xmin, ymin, xmax, ymax = bounds
+    x1, y1, x2, y2 = seg if type(seg) is tuple and len(seg) == 4 else _coords(seg, "segment")
+    if type(window) is not _ExactWindow:
+        bounds = _coords(window, "window")
+        # Lifting first raises for a bad window as clip_exact always has;
+        # the prepared window's own lift is then a cache hit.
+        _lift_window(bounds)
+        window = _ExactWindow(bounds)
     # Exact type: the error bound holds for IEEE double arithmetic only,
     # which a float subclass, Decimal, Fraction or int need not follow.
-    if (
-        type(x1) is type(y1) is type(x2) is type(y2) is float
-        and type(xmin) is type(ymin) is type(xmax) is type(ymax) is float
-        and _certified_plain_reject(x1, y1, x2, y2, xmin, ymin, xmax, ymax)
-    ):
-        return _REJECT
+    if window.floats and type(x1) is type(y1) is type(x2) is type(y2) is float:
+        xmin, ymin, xmax, ymax = window.bounds
+        if _certified_plain_reject(x1, y1, x2, y2, xmin, ymin, xmax, ymax):
+            return _REJECT
     x1n, x1d = x1.as_integer_ratio()
     y1n, y1d = y1.as_integer_ratio()
     x2n, x2d = x2.as_integer_ratio()
     y2n, y2d = y2.as_integer_ratio()
+    wx0, wy0, wx1, wy1, WL = window.lifted
     L = lcm(x1d, y1d, x2d, y2d, WL)
     X1 = x1n * (L // x1d)
     Y1 = y1n * (L // y1d)
@@ -260,8 +405,7 @@ def clip_exact(seg, window) -> ExactClipOutcome:
     if DX == 0 and DY == 0:
         # Point segment: a single-point result whenever it is inside.
         if XMIN <= X1 <= XMAX and YMIN <= Y1 <= YMAX:
-            p = (Fraction(X1, L), Fraction(Y1, L))
-            return ExactClipOutcome(True, True, p, p)
+            return _accept(True, (X1, Y1, L, X1, Y1, L))
         return _REJECT
 
     iv = _interval_ints(X1, Y1, DX, DY, XMIN, YMIN, XMAX, YMAX)
@@ -271,8 +415,6 @@ def clip_exact(seg, window) -> ExactClipOutcome:
         return _REJECT
 
     t0n, t0d, t1n, t1d = iv
-    p1 = (Fraction(X1 * t0d + t0n * DX, t0d * L), Fraction(Y1 * t0d + t0n * DY, t0d * L))
-    p2 = (Fraction(X1 * t1d + t1n * DX, t1d * L), Fraction(Y1 * t1d + t1n * DY, t1d * L))
     grazing = (
         t0n * t1d == t1n * t0d
         or (DX == 0 and (X1 == XMIN or X1 == XMAX))
@@ -280,4 +422,7 @@ def clip_exact(seg, window) -> ExactClipOutcome:
         or (t0n == 0 and _on_boundary(X1, Y1, XMIN, YMIN, XMAX, YMAX))
         or (t1n == t1d and _on_boundary(X2, Y2, XMIN, YMIN, XMAX, YMAX))
     )
-    return ExactClipOutcome(True, grazing, p1, p2)
+    return _accept(grazing, (
+        X1 * t0d + t0n * DX, Y1 * t0d + t0n * DY, t0d * L,
+        X1 * t1d + t1n * DX, Y1 * t1d + t1n * DY, t1d * L,
+    ))

@@ -7,9 +7,10 @@ agreement, but an accepted grazing result must still land inside the
 (tolerance-padded) window and on the input segment's supporting line.
 
 The sweep walks the stream in blocks of ``_BLOCK`` cases: the oracle runs
-once per case and sorts the block into rejects, accepts and grazing
-cases, then each kernel runs once over the block and its results are
-checked class by class.  Failures are recorded in case order.
+once per case, against one window prepared for the whole sweep, and
+sorts the block into rejects, accepts and grazing cases, then each
+kernel runs once over the block and its results are checked class by
+class.  Failures are recorded in case order.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from math import hypot, isfinite
 from .bench import _materialize, require_seed
 from .clippers import KERNELS, AlgorithmId
 from .geom import ClipWindow, require_window_in_space
-from .oracle import clip_exact
+from .oracle import _ExactWindow, clip_exact
 
 __all__ = ["AlgorithmCheck", "VerificationReport", "adversarial_segments", "run_verification"]
 
@@ -190,7 +191,7 @@ def run_verification(
     kernel_checks = [(kernel_map[check.algorithm], check) for check in checks]
 
     x0, y0, x1, y1 = window.bounds()
-    wbounds = (x0, y0, x1, y1)
+    exact_window = _ExactWindow((x0, y0, x1, y1))
     extent = max(x1 - x0, y1 - y0)
     pad = 1e-9 * max(1.0, extent)
 
@@ -204,17 +205,17 @@ def run_verification(
         if start + _BLOCK > cases:
             block += suite[max(0, start - cases):start + _BLOCK - cases]
         # One oracle call per case sorts the block's indices into the three
-        # outcome classes; accepts carry their exact endpoints as floats.
+        # outcome classes; accepts carry their exact endpoints rounded to
+        # the nearest doubles.
         rejects = []
         accepts = []
         grazing = []
         for i, seg in enumerate(block):
-            exact = clip_exact(seg, wbounds)
+            exact = clip_exact(seg, exact_window)
             if exact.grazing:
                 grazing.append(i)
             elif exact.accepted:
-                (ex1, ey1), (ex2, ey2) = exact.p1, exact.p2
-                accepts.append((i, float(ex1), float(ey1), float(ex2), float(ey2)))
+                accepts.append((i, *exact._float_ends()))
             else:
                 rejects.append(i)
         random_grazing += sum(start + i < cases for i in grazing)

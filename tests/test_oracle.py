@@ -1,6 +1,9 @@
+import copy
 import math
+import pickle
 from decimal import Decimal
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from clipbench import oracle
 from clipbench.bench import _materialize
 from clipbench.geom import ClipWindow, Segment
-from clipbench.oracle import _lift_window, clip_exact
+from clipbench.oracle import ExactClipOutcome, _ExactWindow, _lift_window, clip_exact
 from clipbench.verify import adversarial_segments
 
 W = (-100, -75, 100, 75)
@@ -278,8 +281,211 @@ def test_double_round_trip_error_is_at_most_one_ulp(seg):
     o = clip_exact(seg, W)
     if not o.accepted:
         return
-    # float(fraction) is the conversion run_verification compares with.
+    # float(fraction) equals the n / d that run_verification compares with
+    # (test_float_ends_are_the_correctly_rounded_fractions).
     for e in (*o.p1, *o.p2):
         g = float(e)
         bound = Fraction(math.ulp(g)) if g else Fraction(5e-324)
         assert abs(Fraction(g) - e) <= bound
+
+
+def test_outcome_endpoints_are_reduced_fraction_pairs_and_immutable():
+    for seg in SUITE:
+        o = clip_exact(seg, W)
+        if not o.accepted:
+            assert o.p1 is None and o.p2 is None
+            continue
+        for point in (o.p1, o.p2):
+            assert type(point) is tuple and len(point) == 2
+            for coord in point:
+                assert type(coord) is Fraction
+                assert coord.denominator > 0
+                assert math.gcd(coord.numerator, coord.denominator) == 1
+    o = clip_exact((-200.5, -199.25, 200.125, 201.75), W)
+    for name in ("accepted", "grazing", "p1", "p2", "_ends", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(o, name, None)
+        with pytest.raises(AttributeError):
+            delattr(o, name)
+    assert o.accepted and o.p1 == clip_exact((-200.5, -199.25, 200.125, 201.75), W).p1
+
+
+def test_equal_outcomes_are_equal_values_whatever_the_input_types():
+    for seg in SUITE:
+        outcomes = [
+            clip_exact(tuple(map(convert, seg)), W)
+            for convert in (float, Fraction, lambda v: Decimal(float(v)))
+        ]
+        assert outcomes[0] == outcomes[1] == outcomes[2]
+        assert len({hash(o) for o in outcomes}) == 1
+        o = outcomes[0]
+        # The same value as built from its Fractions, which the dataclass
+        # form of the outcome also hashed by.
+        rebuilt = ExactClipOutcome(o.accepted, o.grazing, o.p1, o.p2)
+        assert rebuilt == o and hash(rebuilt) == hash(o)
+        assert hash(o) == hash((o.accepted, o.grazing, o.p1, o.p2))
+        assert pickle.loads(pickle.dumps(o)) == copy.copy(o) == o
+    assert clip_exact((-200, 0, 0, 200), W) != clip_exact((-200, -200, 200, 200), W)
+    assert clip_exact((5, 5, 5, 5), W) != clip_exact((6, 5, 6, 5), W)
+    assert repr(clip_exact((-200.0, -200.0, 0.0, 0.0), W)) == (
+        "ExactClipOutcome(accepted=True, grazing=False, "
+        "p1=(Fraction(-75, 1), Fraction(-75, 1)), p2=(Fraction(0, 1), Fraction(0, 1)))"
+    )
+    assert repr(clip_exact((-200, 0, 0, 200), W)) == (
+        "ExactClipOutcome(accepted=False, grazing=False, p1=None, p2=None)"
+    )
+
+
+@pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6], ids=["x1e-6", "x1", "x1e6"])
+@pytest.mark.parametrize("shift", [0.0, 1e6, 1e8], ids=["0", "1e6", "1e8"])
+def test_float_ends_are_the_correctly_rounded_fractions(shift, scale):
+    space = ClipWindow(*(v * scale + shift for v in (-960.0, -720.0, 960.0, 720.0)))
+    window = ClipWindow(*(v * scale + shift for v in WF))
+    randoms, _ = _materialize(13, space, 3000)
+    accepts = 0
+    for seg in randoms + adversarial_segments(window):
+        o = clip_exact(seg, window)
+        if o.accepted:
+            accepts += 1
+            assert [v.hex() for v in o._float_ends()] == [
+                float(v).hex() for v in (*o.p1, *o.p2)
+            ]
+    assert accepts > 300
+
+
+def test_prepared_window_rejects_bad_bounds():
+    for bounds in (
+        (100.0, -75.0, -100.0, 75.0),
+        (-100.0, 75.0, 100.0, -75.0),
+        (5, 0, 5, 10),
+        (-100.0, -75.0, math.inf, 75.0),
+        (-math.inf, -75.0, 100.0, 75.0),
+        (-100.0, math.nan, 100.0, 75.0),
+        (Decimal("-Infinity"), -75, 100, 75),
+        (-100, -75, 100, Decimal("NaN")),
+    ):
+        with pytest.raises(ValueError):
+            _ExactWindow(bounds)
+    with pytest.raises(ValueError):
+        _ExactWindow((-100.0, -75.0, 100.0))
+
+
+def test_prepared_window_gives_the_outcomes_of_its_bounds():
+    for bounds, floats in (
+        (W, False),
+        (WF, True),
+        ((-100.5, -75.25, 100.125, 75.75), True),
+        (ClipWindow(*WF), True),
+        ((-100.0, -75.0, 100.0, Fraction(75)), False),
+        ((-100.0, -75.0, 100.0, _FloatSubclass(75)), False),
+    ):
+        prepared = _ExactWindow(bounds)
+        assert prepared.floats is floats
+        assert [clip_exact(seg, prepared) for seg in SUITE] == [
+            clip_exact(seg, bounds) for seg in SUITE
+        ]
+
+
+_LOOP_ERRBOUND = (3.0 + 16.0 * 2.0**-53) * 2.0**-53
+_LOOP_TINY = 2.0**-900
+
+
+def _loop_certified_plain_reject(x1, y1, x2, y2, xmin, ymin, xmax, ymax):
+    """The loop form of oracle._certified_plain_reject, kept as the
+    reference for its unrolled form."""
+    outside = (
+        (x1 < xmin and x2 < xmin)
+        or (x1 > xmax and x2 > xmax)
+        or (y1 < ymin and y2 < ymin)
+        or (y1 > ymax and y2 > ymax)
+    )
+    ax0 = x1 - xmin
+    ax1 = x1 - xmax
+    ay0 = y1 - ymin
+    ay1 = y1 - ymax
+    bx0 = x2 - xmin
+    bx1 = x2 - xmax
+    by0 = y2 - ymin
+    by1 = y2 - ymax
+    positive = None
+    for ax, ay, bx, by in (
+        (ax0, ay0, bx0, by0),
+        (ax1, ay1, bx1, by1),
+        (ax1, ay0, bx1, by0),
+        (ax0, ay1, bx0, by1),
+    ):
+        detleft = ax * by
+        detright = ay * bx
+        det = detleft - detright
+        detsum = abs(detleft) + abs(detright)
+        if not (_LOOP_TINY < detsum < math.inf and abs(det) > _LOOP_ERRBOUND * detsum):
+            return False
+        if positive is None:
+            positive = det > 0
+        elif positive is not (det > 0) and not outside:
+            return False
+    return True
+
+
+def _predicate_edge_cases(window):
+    """Segments that stress the corner certification: points, corner
+    tangents one ulp either way, non-finite and underflow-scale values."""
+    xmin, ymin, xmax, ymax = window
+    w, h = xmax - xmin, ymax - ymin
+    corners = ((xmin, ymin), (xmax, ymin), (xmax, ymax), (xmin, ymax))
+    segs = [(x, y, x, y) for x, y in corners]
+    segs += [(xmin - w, ymin - h, xmin - w, ymin - h), (xmin + w / 3, ymin + h / 3) * 2]
+    for (cx, cy), (sx, sy) in zip(corners, ((-1, -1), (1, -1), (1, 1), (-1, 1))):
+        for k0, k1 in ((50.0, 75.0), (-50.0, 50.0), (-75.0, -50.0)):
+            x1, y1, x2, y2 = cx + sx * k0 * w / 200, cy - sy * k0 * h / 150, \
+                cx + sx * k1 * w / 200, cy - sy * k1 * h / 150
+            for moved in (-1, 0, 1):
+                dx = moved * math.ulp(max(abs(x1), abs(x2)))
+                segs += [(x1 + dx, y1, x2 + dx, y2), (x2 + dx, y2, x1 + dx, y1)]
+    base = (xmin - w, ymin + h / 2, xmax + w, ymax - h / 3)
+    outside = (xmin - 2 * w, ymin, xmin - w, ymax)
+    for bad in (math.nan, math.inf, -math.inf, 1e300, -1e300, 5e-324, 1e-310):
+        for seg in (base, outside):
+            segs += [seg[:i] + (bad,) + seg[i + 1:] for i in range(4)]
+    return segs
+
+
+def _underflow_guard_cases():
+    """For each corner, a window with that corner at the origin and
+    segments whose orientation there has ``|detleft| + |detright|``
+    exactly at the underflow guard 2**-900, or one ulp above it, while
+    the other corners' orientations are far from it."""
+    cases = []
+    for window in ((0.0, 0.0, 1.0, 1.0), (-1.0, -1.0, 0.0, 0.0),
+                   (-1.0, 0.0, 0.0, 1.0), (0.0, -1.0, 1.0, 0.0)):
+        for above in (0, 1):
+            for sx1, sy1, sx2, sy2 in product((-1.0, 1.0), repeat=4):
+                # |x1 * y2| + |y1 * x2| == 2**-901 * (1 + above * 2**-51)
+                # + 2**-901, which is 2**-900 plus `above` ulps.
+                x1 = sx1 * 2.0**-900 * (1.0 + above * 2.0**-51)
+                seg = (x1, sy1 * 2.0**-901, sx2, sy2 * 0.5)
+                cases += [(seg, window), ((*seg[2:], *seg[:2]), window)]
+    return cases
+
+
+@pytest.mark.parametrize(
+    "shift, scale",
+    # Products of coordinates at scale 1e-140 lie near the underflow guard,
+    # and at 1e-300 they underflow.
+    [(0.0, 1e-300), (0.0, 1e-140)]
+    + [(shift, scale) for shift in (0.0, 1e6, 1e8) for scale in (1e-6, 1.0, 1e6)],
+)
+def test_unrolled_certified_reject_matches_the_loop_form(shift, scale):
+    space = ClipWindow(*(v * scale + shift for v in (-960.0, -720.0, 960.0, 720.0)))
+    window = tuple(v * scale + shift for v in WF)
+    randoms, _ = _materialize(17, space, 2000)
+    segs = randoms + adversarial_segments(ClipWindow(*window)) + _predicate_edge_cases(window)
+    windows = [window] + [window[:i] + (bad,) + window[i + 1:]
+                          for i in range(4) for bad in (math.nan, math.inf, -math.inf)]
+    results = []
+    for seg, w in [(seg, w) for w in windows for seg in segs] + _underflow_guard_cases():
+        got = oracle._certified_plain_reject(*seg, *w)
+        assert got is _loop_certified_plain_reject(*seg, *w), (seg, w)
+        results.append(got)
+    # Both answers occur, so the comparison is not vacuous.
+    assert True in results and False in results

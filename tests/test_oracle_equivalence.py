@@ -4,7 +4,7 @@ agreement and the corner-mask witness validation."""
 
 import pytest
 
-from clipbench import verify
+from clipbench import oracle, verify
 from clipbench.bench import _materialize
 from clipbench.clippers import EDGE_TABLE, KERNELS, AlgorithmId
 from clipbench.clippers.skala import clip_coords as skala_clip
@@ -102,6 +102,26 @@ def test_block_seams_keep_tallies_and_failure_order(cases, monkeypatch):
     assert flipped.mismatches > len(flipped.failures) == 10
     assert report.checks[1].mismatches > 0
     assert all(c.mismatches == 0 for c in report.checks[2:])
+
+
+@pytest.mark.parametrize("cases", [0, verify._BLOCK + 1])
+def test_sweep_calls_the_oracle_by_name_once_per_case(cases, monkeypatch):
+    # perfbench traces the oracle layer by wrapping verify.clip_exact, so
+    # the sweep must call that module-level name once per case, with one
+    # window prepared for the whole sweep.
+    windows = []
+
+    def counting(seg, window):
+        windows.append(window)
+        return clip_exact(seg, window)
+
+    monkeypatch.setattr(verify, "clip_exact", counting)
+    report = run_verification(cases, 5, SPACE, WINDOW)
+    assert len(windows) == cases + len(adversarial_segments(WINDOW))
+    assert type(windows[0]) is oracle._ExactWindow
+    assert all(w is windows[0] for w in windows)
+    assert windows[0].bounds == WINDOW.bounds()
+    assert report.ok
 
 
 # The tallies the benchmark's verify_sweep workload fingerprints at seed 7:
