@@ -17,7 +17,6 @@ from .bench import (
     BenchReport,
     RunTiming,
     mean_seconds,
-    next_u64,
     parse_report,
     render_report,
     run_bench,
@@ -44,7 +43,6 @@ __all__ = [
     "clip",
     "clip_exact",
     "mean_seconds",
-    "next_u64",
     "parse_report",
     "render_report",
     "run_bench",

@@ -31,7 +31,6 @@ from .geom import ClipWindow, require_window_in_space
 
 __all__ = [
     "MASK64",
-    "next_u64",
     "require_seed",
     "BenchConfig",
     "BenchInvariantError",
@@ -57,25 +56,11 @@ CHUNK_SIZE = 1_000_000
 # module docstring says why a prefix is enough.
 _WARMUP = 1024
 
-# splitmix64: the state advances by _GAMMA, then _MIX1 and _MIX2 mix it.
+# splitmix64's published constants, so a seed gives the same stream on
+# every platform: the state advances by _GAMMA, then _MIX1 and _MIX2 mix it.
 _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
-
-
-def next_u64(state: int) -> tuple[int, int]:
-    """One splitmix64 step: returns (output, new state).
-
-    Fixed published constants, so streams are bit-identical across
-    languages and platforms for the same seed.  This is the scalar
-    definition; ``_materialize`` computes the same draws a block at a
-    time.
-    """
-    state = (state + _GAMMA) & MASK64
-    z = state
-    z = ((z ^ (z >> 30)) * _MIX1) & MASK64
-    z = ((z ^ (z >> 27)) * _MIX2) & MASK64
-    return z ^ (z >> 31), state
 
 
 def require_seed(seed: int) -> None:
@@ -118,8 +103,7 @@ def _materialize(state: int, space: ClipWindow, count: int):
     block of draws is therefore mixed at once: one int holds one
     128-bit lane per draw, wide enough for each 64 x 64-bit product,
     and masks keep each lane's low 64 bits, dropping the high half of
-    each product and what a shift carried in from the next lane.  The
-    draws equal ``next_u64``'s, the scalar reference.
+    each product and what a shift carried in from the next lane.
     """
     xlo = space.xmin
     ylo = space.ymin

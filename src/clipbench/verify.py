@@ -6,11 +6,13 @@ rational clipper.  Cases the oracle flags as grazing are exempt from
 agreement, but an accepted grazing result must still land inside the
 (tolerance-padded) window and on the input segment's supporting line.
 
-The sweep walks the stream in blocks of ``_BLOCK`` cases: the oracle runs
-once per case, against one window prepared for the whole sweep, and
-sorts the block into rejects, accepts and grazing cases, then each
-kernel runs once over the block and its results are checked class by
-class.  Failures are recorded in case order.
+The sweep walks the stream in blocks of ``_BLOCK`` cases, generating
+each block from the state the previous one returned, so the stream is
+never held whole: the oracle runs once per case, against one window
+prepared for the whole sweep, and sorts the block into rejects, accepts
+and grazing cases, then each kernel runs once over the block and its
+results are checked class by class.  Failures are recorded in case
+order.
 """
 
 from __future__ import annotations
@@ -25,10 +27,11 @@ from .oracle import _ExactWindow, clip_exact
 
 __all__ = ["AlgorithmCheck", "VerificationReport", "adversarial_segments", "run_verification"]
 
-# Cases per oracle and kernel pass.  Blocks bound the per-pass lists: a
-# whole-stream pass over a million cases would hold tens of MB more, and
-# at this size a sweep's peak RSS stays within 0.1 MiB of a case-by-case
-# one.
+# Cases per generated block and per oracle and kernel pass.  Blocks bound
+# the stream as well as the per-pass lists, so a sweep's peak RSS does not
+# grow with its case count.  A multiple of the generator's own block
+# (bench._BLOCK), so generating block by block does the same lane work as
+# one whole-stream call and only the last block mixes a partial one.
 _BLOCK = 1024
 
 
@@ -195,13 +198,13 @@ def run_verification(
     extent = max(x1 - x0, y1 - y0)
     pad = 1e-9 * max(1.0, extent)
 
-    random_buf, _ = _materialize(seed, space, cases)
+    state = seed
     suite = adversarial_segments(window)
     random_grazing = 0
 
     for start in range(0, cases + len(suite), _BLOCK):
-        # The random stream, then the suite, without a copy of the whole.
-        block = random_buf[start:start + _BLOCK]
+        # The stream, one block at a time from the last block's state, then the suite.
+        block, state = _materialize(state, space, max(0, min(_BLOCK, cases - start)))
         if start + _BLOCK > cases:
             block += suite[max(0, start - cases):start + _BLOCK - cases]
         # One oracle call per case sorts the block's indices into the three

@@ -6,7 +6,6 @@ from clipbench.bench import (
     RunTiming,
     build_report,
     mean_seconds,
-    next_u64,
     parse_report,
     render_report,
     run_bench,
@@ -29,22 +28,24 @@ WINDOW = ClipWindow(-100.0, -75.0, 100.0, 75.0)
 # Generator
 
 def test_splitmix64_reference_sequence():
-    v1, state = next_u64(0)
-    v2, state = next_u64(state)
-    assert v1 == 0xE220A8397B1DCDAF
-    assert v2 == 0x6E789E6AA1B965F4
+    # The first two published splitmix64 outputs for seed 0, mapped as
+    # lo + (u / 2^64) * (hi - lo), are the stream's first x1 and y1.
+    buf, _ = _materialize(0, SPACE, 1)
+    x1, y1 = buf[0][:2]
+    assert x1.hex() == (-960.0 + (0xE220A8397B1DCDAF / 2**64) * 1920.0).hex()
+    assert y1.hex() == (-720.0 + (0x6E789E6AA1B965F4 / 2**64) * 1440.0).hex()
 
 
 def test_splitmix64_same_seed_same_outputs():
-    a = next_u64(12345)
-    b = next_u64(12345)
+    a = _materialize(12345, SPACE, _BLOCK + 1)
+    b = _materialize(12345, SPACE, _BLOCK + 1)
     assert a == b
 
 
-@given(st.integers(min_value=0, max_value=(1 << 64) - 1))
-def test_splitmix64_outputs_fit_64_bits(seed):
-    value, state = next_u64(seed)
-    assert 0 <= value < 1 << 64
+@given(st.integers(min_value=0, max_value=(1 << 64) - 1), st.integers(0, _BLOCK + 1))
+def test_splitmix64_outputs_fit_64_bits(seed, count):
+    _, state = _materialize(seed, SPACE, count)
+    assert state == (seed + 4 * count * 0x9E3779B97F4A7C15) % 2**64
     assert 0 <= state < 1 << 64
 
 

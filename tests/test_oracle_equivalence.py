@@ -4,7 +4,7 @@ agreement and the corner-mask witness validation."""
 
 import pytest
 
-from clipbench import oracle, verify
+from clipbench import bench, oracle, verify
 from clipbench.bench import _materialize
 from clipbench.clippers import EDGE_TABLE, KERNELS, AlgorithmId
 from clipbench.clippers.skala import clip_coords as skala_clip
@@ -84,24 +84,51 @@ def test_block_seams_keep_tallies_and_failure_order(cases, monkeypatch):
     # The random stream carries a window-corner point, which is grazing,
     # at every 1000th case and the last, so random_grazing counts cases on
     # both sides of a seam; with BLOCK - 1 cases the first suite case, the
-    # grazing center point, ends the first block.
+    # grazing center point, ends the first block.  Positions count from the
+    # start of the whole stream, across however many calls generate it.
     generate = verify._materialize
     corner = WINDOW.bounds()[:2] * 2
+    offset = 0
 
     def with_grazing(state, space, count):
+        nonlocal offset
         buf, state = generate(state, space, count)
-        return [corner if i % 1000 == 999 or i == count - 1 else seg
-                for i, seg in enumerate(buf)], state
+        base, offset = offset, offset + count
+        return [corner if i % 1000 == 999 or i == cases - 1 else seg
+                for i, seg in enumerate(buf, base)], state
 
     monkeypatch.setattr(verify, "_materialize", with_grazing)
     kernels = {AlgorithmId.LIANG_BARSKY: _offset_lb, AlgorithmId.COHEN_SUTHERLAND: _flipped_cs}
     report = run_verification(cases, 3, SPACE, WINDOW, kernels=kernels)
+    offset = 0
     assert report == _row_wise_report(cases, 3, SPACE, WINDOW, kernels)
     assert report.random_grazing == sum(i % 1000 == 999 or i == cases - 1 for i in range(cases))
     flipped = report.checks[0]
     assert flipped.mismatches > len(flipped.failures) == 10
     assert report.checks[1].mismatches > 0
     assert all(c.mismatches == 0 for c in report.checks[2:])
+
+
+@pytest.mark.parametrize("cases", [0, 1, verify._BLOCK, 3 * verify._BLOCK + 5])
+def test_sweep_generates_the_stream_one_block_at_a_time(cases, monkeypatch):
+    # The sweep never holds the whole stream: each call asks for at most
+    # one block and starts from the state the previous call returned, as
+    # run_bench carries the state across chunks.  Whole generator blocks
+    # per sweep block keep the lane work of one whole-stream call.
+    generate = verify._materialize
+    calls = []
+
+    def recording(state, space, count):
+        buf, end = generate(state, space, count)
+        calls.append((state, count, end))
+        return buf, end
+
+    monkeypatch.setattr(verify, "_materialize", recording)
+    assert run_verification(cases, 9, SPACE, WINDOW).ok
+    assert all(count <= verify._BLOCK for _, count, _ in calls)
+    assert sum(count for _, count, _ in calls) == cases
+    assert [start for start, _, _ in calls] == [9] + [end for _, _, end in calls[:-1]]
+    assert verify._BLOCK % bench._BLOCK == 0
 
 
 @pytest.mark.parametrize("cases", [0, verify._BLOCK + 1])

@@ -25,7 +25,6 @@ PACKAGE_SURFACE = [
     "clip",
     "clip_exact",
     "mean_seconds",
-    "next_u64",
     "parse_report",
     "render_report",
     "run_bench",
