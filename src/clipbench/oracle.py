@@ -16,7 +16,7 @@ lines that touch the closed window in exactly one point.
 
 A sweep clips many segments against one window, so the window can be
 prepared once: ``_ExactWindow`` validates the bounds, lifts them to
-integers through the cached ``_lift_window`` and records whether all
+integers over their least common denominator and records whether all
 four are exact ``float`` instances.  ``clip_exact`` takes a prepared
 window or any bounds form, which it prepares per call.
 
@@ -53,7 +53,6 @@ arithmetic with any clipper.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from math import inf, lcm
 from typing import Optional
 
@@ -185,33 +184,15 @@ def _coords(obj, kind) -> tuple:
     return vals
 
 
-@lru_cache(maxsize=32)
-def _lift_window(bounds) -> tuple[int, int, int, int, int]:
-    """Window bounds as integers over their least common denominator WL,
-    plus WL.
-
-    Cached per distinct bounds tuple.  A hit is exact: numerically equal
-    keys have equal reduced ratios, whatever their numeric types.  A bad
-    window raises on every call, because exceptions are not cached.
-    """
-    ratios = [v.as_integer_ratio() for v in bounds]
-    WL = lcm(*(d for _, d in ratios))
-    xmin, ymin, xmax, ymax = (n * (WL // d) for n, d in ratios)
-    # Scaling by the positive per-case factor L // WL keeps this order.
-    if not (xmin < xmax and ymin < ymax):
-        raise ValueError("window bounds must satisfy xmin < xmax and ymin < ymax")
-    return xmin, ymin, xmax, ymax, WL
-
-
 class _ExactWindow:
     """A clip window validated and lifted once, for many ``clip_exact``
     calls; ``run_verification`` builds one per sweep.
 
-    ``bounds`` is the 4-tuple of bounds as given, ``lifted`` their
-    ``_lift_window`` form, and ``floats`` whether all four are of exact
-    type ``float``, the precondition of the float reject path.  Reversed
-    bounds raise ValueError, and so do non-finite ones, which have no
-    integer ratio.
+    ``bounds`` is the 4-tuple of bounds as given, ``lifted`` the bounds
+    as integers over their least common denominator WL, plus WL, and
+    ``floats`` whether all four are of exact type ``float``, the
+    precondition of the float reject path.  Reversed bounds raise
+    ValueError, and so do non-finite ones, which have no integer ratio.
     """
 
     __slots__ = ("bounds", "lifted", "floats")
@@ -219,10 +200,16 @@ class _ExactWindow:
     def __init__(self, bounds) -> None:
         bounds = _coords(bounds, "window")
         try:
-            self.lifted = _lift_window(bounds)
+            ratios = [v.as_integer_ratio() for v in bounds]
         except OverflowError:
             raise ValueError("window bounds must be finite") from None
+        WL = lcm(*(d for _, d in ratios))
+        wx0, wy0, wx1, wy1 = (n * (WL // d) for n, d in ratios)
+        # Scaling by the positive per-case factor L // WL keeps this order.
+        if not (wx0 < wx1 and wy0 < wy1):
+            raise ValueError("window bounds must satisfy xmin < xmax and ymin < ymax")
         self.bounds = bounds
+        self.lifted = wx0, wy0, wx1, wy1, WL
         xmin, ymin, xmax, ymax = bounds
         self.floats = type(xmin) is type(ymin) is type(xmax) is type(ymax) is float
 
@@ -368,16 +355,13 @@ def clip_exact(seg, window) -> ExactClipOutcome:
     is a ClipWindow, any 4-sequence (xmin, ymin, xmax, ymax), or a window
     prepared once by ``_ExactWindow``.  Coordinates may be of any type
     with an exact ``as_integer_ratio()``: float, int, Fraction or
-    Decimal.  A bad window raises ValueError, or OverflowError for an
-    infinite bound when it is not prepared.
+    Decimal.  A bad window raises ValueError, prepared or not.  A bad
+    segment raises ValueError, except that an infinite coordinate raises
+    OverflowError.
     """
     x1, y1, x2, y2 = seg if type(seg) is tuple and len(seg) == 4 else _coords(seg, "segment")
     if type(window) is not _ExactWindow:
-        bounds = _coords(window, "window")
-        # Lifting first raises for a bad window as clip_exact always has;
-        # the prepared window's own lift is then a cache hit.
-        _lift_window(bounds)
-        window = _ExactWindow(bounds)
+        window = _ExactWindow(window)
     # Exact type: the error bound holds for IEEE double arithmetic only,
     # which a float subclass, Decimal, Fraction or int need not follow.
     if window.floats and type(x1) is type(y1) is type(x2) is type(y2) is float:

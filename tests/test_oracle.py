@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from clipbench import oracle
 from clipbench.bench import _materialize
 from clipbench.geom import ClipWindow, Segment
-from clipbench.oracle import ExactClipOutcome, _ExactWindow, _lift_window, clip_exact
+from clipbench.oracle import ExactClipOutcome, _ExactWindow, clip_exact
 from clipbench.verify import adversarial_segments
 
 W = (-100, -75, 100, 75)
@@ -65,7 +65,7 @@ def test_endpoint_on_boundary_is_grazing():
 
 
 def test_invalid_window_raises():
-    # Twice: a cached window lift must not turn the second call into a hit.
+    # Twice: the second call must check the window again, as the first did.
     # The float cases lie trivially outside one side of the reversed
     # window, which must not let them skip the window check.
     for seg, window in (
@@ -89,7 +89,7 @@ def test_non_finite_float_coordinates_raise(bad, error):
     for i in range(4):
         with pytest.raises(error):
             clip_exact(base[:i] + (bad,) + base[i + 1:], WF)
-        with pytest.raises(error):
+        with pytest.raises(ValueError):
             clip_exact(base, WF[:i] + (bad,) + WF[i + 1:])
 
 
@@ -146,25 +146,21 @@ SUITE = adversarial_segments(ClipWindow(*W)) + [
     ids=["ClipWindow", "float-tuple", "list", "Fraction", "Decimal"],
 )
 def test_window_forms_give_the_same_outcomes(bounds, form):
-    # Equal bounds share one cache entry whatever their types, so lift
-    # this form cold, then compare against the plain tuple both cold and
-    # as a cache hit.
-    _lift_window.cache_clear()
+    # Equal bounds lift to the same integers whatever their types; compare
+    # this form against the plain tuple twice, each call lifting afresh.
     got = [clip_exact(seg, form(bounds)) for seg in SUITE]
     assert got == [clip_exact(seg, bounds) for seg in SUITE]
-    _lift_window.cache_clear()
     assert got == [clip_exact(seg, bounds) for seg in SUITE]
 
 
 def test_more_windows_than_the_cache_holds():
     windows = [
         (Fraction(k, 3) - 100, -75, 100 + Fraction(k, 7), Fraction(75, k + 1))
-        for k in range(_lift_window.cache_info().maxsize + 5)
+        for k in range(37)
     ]
     segs = SUITE[::5]
     first = {}
     for w in windows:
-        _lift_window.cache_clear()
         first[w] = [clip_exact(seg, w) for seg in segs]
     for _ in range(2):
         for w in windows:
@@ -366,6 +362,11 @@ def test_prepared_window_rejects_bad_bounds():
     ):
         with pytest.raises(ValueError):
             _ExactWindow(bounds)
+        # Unprepared too, on the float path (a segment trivially outside
+        # the left side) and on the integer path (one inside).
+        for seg in ((-300.0, 0.0, -200.0, 10.0), (-10.0, -5.0, 10.0, 5.0)):
+            with pytest.raises(ValueError):
+                clip_exact(seg, bounds)
     with pytest.raises(ValueError):
         _ExactWindow((-100.0, -75.0, 100.0))
 
