@@ -23,8 +23,10 @@ import struct
 import sys
 import time
 from dataclasses import dataclass
-from decimal import ROUND_HALF_EVEN, ROUND_HALF_UP, Decimal
-from hashlib import blake2b
+
+# hashlib binds blake2b to this same builtin object, but importing
+# hashlib also loads OpenSSL, which nothing here uses.
+from _blake2 import blake2b
 
 from .clippers import KERNELS, AlgorithmId
 from .geom import ClipWindow, require_window_in_space
@@ -331,6 +333,8 @@ def run_bench(config: BenchConfig) -> BenchReport:
 
 
 def _fmt_seconds(value: float) -> str:
+    from decimal import ROUND_HALF_EVEN, ROUND_HALF_UP, Decimal
+
     # Run tables carry millisecond precision, so their means have at most
     # four meaningful decimals; quantizing there first drops binary
     # summation noise before the half-up display rounding.

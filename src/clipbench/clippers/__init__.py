@@ -14,7 +14,7 @@ it lies in the closed window.
 from __future__ import annotations
 
 import enum
-from typing import Callable, Optional
+from collections.abc import Callable
 
 from ..geom import REJECTED, ClipResult, ClipWindow, Point2, Segment
 from . import (
@@ -30,8 +30,6 @@ from .skala import EDGE_TABLE
 
 __all__ = ["AlgorithmId", "KERNELS", "clip", "EDGE_TABLE"]
 
-CoordKernel = Callable[..., Optional[tuple]]
-
 
 class AlgorithmId(enum.Enum):
     """Benchmarked algorithm set; values are the fixed report spellings and
@@ -46,7 +44,7 @@ class AlgorithmId(enum.Enum):
     PROPOSED = "Proposed"
 
 
-KERNELS: dict[AlgorithmId, CoordKernel] = {
+KERNELS: dict[AlgorithmId, Callable[..., tuple | None]] = {
     AlgorithmId.COHEN_SUTHERLAND: cohen_sutherland.clip_coords,
     AlgorithmId.LIANG_BARSKY: liang_barsky.clip_coords,
     AlgorithmId.CYRUS_BECK: cyrus_beck.clip_coords,

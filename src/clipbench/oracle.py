@@ -52,15 +52,11 @@ arithmetic with any clipper.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import inf, lcm
-from typing import Optional
 
 from .geom import ClipWindow, Segment
 
 __all__ = ["ExactClipOutcome", "clip_exact"]
-
-RationalPoint = tuple[Fraction, Fraction]
 
 
 class ExactClipOutcome:
@@ -79,23 +75,27 @@ class ExactClipOutcome:
         self,
         accepted: bool,
         grazing: bool,
-        p1: Optional[RationalPoint] = None,
-        p2: Optional[RationalPoint] = None,
+        p1: tuple[Fraction, Fraction] | None = None,
+        p2: tuple[Fraction, Fraction] | None = None,
     ) -> None:
         ends = None if p1 is None else (*_common_ratio(p1), *_common_ratio(p2))
         _init_outcome(self, accepted, grazing, ends)
 
     @property
-    def p1(self) -> Optional[RationalPoint]:
+    def p1(self) -> tuple[Fraction, Fraction] | None:
         if self._ends is None:
             return None
+        from fractions import Fraction
+
         x, y, d = self._ends[:3]
         return Fraction(x, d), Fraction(y, d)
 
     @property
-    def p2(self) -> Optional[RationalPoint]:
+    def p2(self) -> tuple[Fraction, Fraction] | None:
         if self._ends is None:
             return None
+        from fractions import Fraction
+
         x, y, d = self._ends[3:]
         return Fraction(x, d), Fraction(y, d)
 
