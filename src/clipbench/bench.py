@@ -22,14 +22,14 @@ import json
 import struct
 import sys
 import time
-from dataclasses import dataclass
+from collections import namedtuple
 
 # hashlib binds blake2b to this same builtin object, but importing
 # hashlib also loads OpenSSL, which nothing here uses.
 from _blake2 import blake2b
 
 from .clippers import KERNELS, AlgorithmId
-from .geom import ClipWindow, require_window_in_space
+from .geom import ClipWindow, _checked_make, require_window_in_space
 
 __all__ = [
     "MASK64",
@@ -143,8 +143,9 @@ _DEFAULT_SPACE = ClipWindow(-960.0, -720.0, 960.0, 720.0)
 _DEFAULT_WINDOW = ClipWindow(-100.0, -75.0, 100.0, 75.0)
 
 
-@dataclass(frozen=True)
-class BenchConfig:
+class BenchConfig(namedtuple(
+    "BenchConfig", "space window lines_per_run repetitions seed algorithms",
+    defaults=(_DEFAULT_SPACE, _DEFAULT_WINDOW, 1_000_000, 10, 1, tuple(AlgorithmId)))):
     """Benchmark protocol parameters.
 
     Defaults reproduce the reference protocol: segments drawn uniformly
@@ -152,14 +153,10 @@ class BenchConfig:
     lines per run, ten recorded repetitions.
     """
 
-    space: ClipWindow = _DEFAULT_SPACE
-    window: ClipWindow = _DEFAULT_WINDOW
-    lines_per_run: int = 1_000_000
-    repetitions: int = 10
-    seed: int = 1
-    algorithms: tuple[AlgorithmId, ...] = tuple(AlgorithmId)
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs) -> "BenchConfig":
+        self = super().__new__(cls, *args, **kwargs)
         if self.lines_per_run < 1:
             raise ValueError("lines_per_run must be >= 1")
         if self.repetitions < 1:
@@ -170,25 +167,19 @@ class BenchConfig:
             raise ValueError("at least one algorithm is required")
         if len(set(self.algorithms)) != len(self.algorithms):
             raise ValueError("duplicate algorithms in config")
+        return self
+
+    _make = classmethod(_checked_make)
 
 
-@dataclass(frozen=True)
-class RunTiming:
+class RunTiming(namedtuple("RunTiming", "algorithm run_index seconds accepted_count checksum")):
     """One timed pass of one algorithm over the full segment stream."""
 
-    algorithm: AlgorithmId
-    run_index: int
-    seconds: float
-    accepted_count: int
-    checksum: int
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class BenchReport:
-    config: BenchConfig
-    timings: tuple[RunTiming, ...]
-    averages: dict[str, float]
-    speedups_vs_proposed: dict[str, float]
+class BenchReport(namedtuple("BenchReport", "config timings averages speedups_vs_proposed")):
+    __slots__ = ()
 
 
 _PACK_INDEX = struct.Struct("<Q")

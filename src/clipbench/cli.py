@@ -11,12 +11,14 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import re
+import stat
 import sys
 
 from .bench import BenchConfig, BenchInvariantError, render_report, run_bench
 from .clippers import AlgorithmId, clip
-from .geom import ClipWindow, Point2, Segment
+from .geom import ClipWindow, Segment
 from .verify import run_verification
 
 __all__ = ["main", "run", "format_double"]
@@ -121,7 +123,7 @@ def _make_parser() -> argparse.ArgumentParser:
 def _cmd_clip(args) -> int:
     algorithm = _parse_algorithm(args.algorithm)
     window = ClipWindow(*args.window)
-    seg = Segment(Point2(args.seg[0], args.seg[1]), Point2(args.seg[2], args.seg[3]))
+    seg = Segment.of(*args.seg)
     result = clip(algorithm, seg, window)
     if result.accepted:
         c = result.segment.coords()
@@ -145,10 +147,12 @@ def _cmd_bench(args) -> int:
         return 0
     # Open --out before the run, so a bad path costs no benchmark time, and
     # in append mode, so a run that fails leaves an earlier report intact.
+    # Only a regular file is truncated: a FIFO or a device such as /dev/null cannot be.
     try:
         with open(args.out, "a", encoding="utf-8") as fh:
             text = render_report(run_bench(config), args.format)
-            fh.truncate(0)
+            if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+                fh.truncate(0)
             fh.write(text)
     except OSError as exc:
         raise ValueError(f"cannot write {args.out}: {exc.strerror}") from None

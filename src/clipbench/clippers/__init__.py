@@ -16,7 +16,7 @@ from __future__ import annotations
 import enum
 from collections.abc import Callable
 
-from ..geom import REJECTED, ClipResult, ClipWindow, Point2, Segment
+from ..geom import REJECTED, ClipResult, ClipWindow, Segment
 from . import (
     cohen_sutherland,
     cyrus_beck,
@@ -60,5 +60,4 @@ def clip(algorithm: AlgorithmId, seg: Segment, window: ClipWindow) -> ClipResult
     r = KERNELS[algorithm](*seg.coords(), *window.bounds())
     if r is None:
         return REJECTED
-    x1, y1, x2, y2 = r
-    return ClipResult(Segment(Point2(x1, y1), Point2(x2, y2)))
+    return ClipResult(Segment.of(*r))

@@ -8,7 +8,7 @@ a point exactly on an edge or corner counts as inside.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 __all__ = [
     "Point2",
@@ -25,63 +25,66 @@ def _require_finite(name: str, value: float) -> None:
         raise ValueError(f"{name} must be finite, got {value!r}")
 
 
-@dataclass(frozen=True, slots=True)
-class Point2:
+def _checked_make(cls, iterable):
+    # namedtuple's own _make, which _replace calls, skips __new__ and its checks.
+    return cls(*iterable)
+
+
+class Point2(namedtuple("Point2", "x y")):
     """A point in the plane. Both coordinates must be finite."""
 
-    x: float
-    y: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        _require_finite("x", self.x)
-        _require_finite("y", self.y)
+    def __new__(cls, x: float, y: float) -> "Point2":
+        _require_finite("x", x)
+        _require_finite("y", y)
+        return super().__new__(cls, x, y)
+
+    _make = classmethod(_checked_make)
 
 
-@dataclass(frozen=True, slots=True)
-class Segment:
+class Segment(namedtuple("Segment", "p1 p2")):
     """Directed segment from p1 to p2. Degenerate segments (p1 == p2) are legal."""
 
-    p1: Point2
-    p2: Point2
+    __slots__ = ()
 
     @classmethod
     def of(cls, x1: float, y1: float, x2: float, y2: float) -> "Segment":
         return cls(Point2(x1, y1), Point2(x2, y2))
 
     def coords(self) -> tuple[float, float, float, float]:
-        return (self.p1.x, self.p1.y, self.p2.x, self.p2.y)
+        return (*self.p1, *self.p2)
 
 
-@dataclass(frozen=True, slots=True)
-class ClipWindow:
+class ClipWindow(namedtuple("ClipWindow", "xmin ymin xmax ymax")):
     """Axis-aligned clip rectangle with strictly ordered, finite bounds.
 
     Callers must pass bounds in ascending order; nothing is swapped
     silently because that tends to hide caller bugs.
     """
 
-    xmin: float
-    ymin: float
-    xmax: float
-    ymax: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        for name in ("xmin", "ymin", "xmax", "ymax"):
-            _require_finite(name, getattr(self, name))
-        if not (self.xmin < self.xmax):
-            raise ValueError(f"xmin must be < xmax, got {self.xmin} >= {self.xmax}")
-        if not (self.ymin < self.ymax):
-            raise ValueError(f"ymin must be < ymax, got {self.ymin} >= {self.ymax}")
+    def __new__(cls, xmin: float, ymin: float, xmax: float, ymax: float) -> "ClipWindow":
+        self = super().__new__(cls, xmin, ymin, xmax, ymax)
+        for name, value in zip(self._fields, self):
+            _require_finite(name, value)
+        if not (xmin < xmax):
+            raise ValueError(f"xmin must be < xmax, got {xmin} >= {xmax}")
+        if not (ymin < ymax):
+            raise ValueError(f"ymin must be < ymax, got {ymin} >= {ymax}")
+        return self
+
+    _make = classmethod(_checked_make)
 
     def bounds(self) -> tuple[float, float, float, float]:
-        return (self.xmin, self.ymin, self.xmax, self.ymax)
+        return tuple(self)
 
 
-@dataclass(frozen=True, slots=True)
-class ClipResult:
+class ClipResult(namedtuple("ClipResult", "segment", defaults=(None,))):
     """Outcome of clipping a segment: the retained part, or rejection."""
 
-    segment: Segment | None = None
+    __slots__ = ()
 
     @property
     def accepted(self) -> bool:

@@ -54,7 +54,7 @@ from __future__ import annotations
 
 from math import inf, lcm
 
-from .geom import ClipWindow, Segment
+from .geom import Segment
 
 __all__ = ["ExactClipOutcome", "clip_exact"]
 
@@ -173,12 +173,7 @@ _ORIENT_TINY = 2.0**-900
 def _coords(obj, kind) -> tuple:
     if type(obj) is tuple and len(obj) == 4:
         return obj
-    if isinstance(obj, Segment):
-        vals = obj.coords()
-    elif isinstance(obj, ClipWindow):
-        vals = obj.bounds()
-    else:
-        vals = tuple(obj)
+    vals = obj.coords() if isinstance(obj, Segment) else tuple(obj)
     if len(vals) != 4:
         raise ValueError(f"{kind} must provide exactly 4 coordinates")
     return vals

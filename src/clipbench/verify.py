@@ -17,7 +17,7 @@ order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from math import hypot, isfinite
 
 from .bench import _materialize, require_seed
@@ -35,15 +35,26 @@ __all__ = ["AlgorithmCheck", "VerificationReport", "adversarial_segments", "run_
 _BLOCK = 1024
 
 
-@dataclass
 class AlgorithmCheck:
-    """Per-algorithm tallies; the three buckets are disjoint."""
+    """Per-algorithm tallies, added to in place by a sweep; the three buckets are disjoint."""
 
-    algorithm: AlgorithmId
-    matches: int = 0
-    grazing_exempt: int = 0
-    mismatches: int = 0
-    failures: list[tuple[tuple[float, float, float, float], str]] = field(default_factory=list)
+    __slots__ = ("algorithm", "matches", "grazing_exempt", "mismatches", "failures")
+
+    def __init__(self, algorithm: AlgorithmId, matches: int = 0, grazing_exempt: int = 0,
+                 mismatches: int = 0, failures: list | None = None) -> None:
+        self.algorithm = algorithm
+        self.matches = matches
+        self.grazing_exempt = grazing_exempt
+        self.mismatches = mismatches
+        self.failures = [] if failures is None else failures
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(getattr(self, name) == getattr(other, name) for name in self.__slots__)
+
+    def __repr__(self) -> str:
+        return "AlgorithmCheck(" + ", ".join(f"{n}={getattr(self, n)!r}" for n in self.__slots__) + ")"
 
     def fail(self, seg, reason: str) -> None:
         self.mismatches += 1
@@ -51,12 +62,9 @@ class AlgorithmCheck:
             self.failures.append((seg, reason))
 
 
-@dataclass
-class VerificationReport:
-    random_cases: int
-    adversarial_cases: int
-    random_grazing: int
-    checks: list[AlgorithmCheck]
+class VerificationReport(namedtuple(
+        "VerificationReport", "random_cases adversarial_cases random_grazing checks")):
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:

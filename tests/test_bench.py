@@ -1,3 +1,5 @@
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -187,6 +189,38 @@ def test_config_rejects_bad_seed_and_duplicates():
         BenchConfig(algorithms=(AlgorithmId.PROPOSED, AlgorithmId.PROPOSED))
     with pytest.raises(ValueError):
         BenchConfig(algorithms=())
+
+
+@pytest.mark.parametrize("path", ["constructor", "_make", "_replace"])
+@pytest.mark.parametrize("name, bad", [
+    ("window", ClipWindow(-1000.0, -75.0, 100.0, 75.0)),  # outside the space
+    ("lines_per_run", 0),
+    ("repetitions", 0),
+    ("seed", 2**64),
+    ("algorithms", ()),
+    ("algorithms", (AlgorithmId.KWC, AlgorithmId.KWC)),
+])
+def test_config_rejects_bad_fields_on_every_construction_path(name, bad, path):
+    good = BenchConfig()
+    values = [bad if field == name else value for field, value in zip(good._fields, good)]
+    build = {
+        "constructor": lambda: BenchConfig(**{name: bad}),
+        "_make": lambda: BenchConfig._make(values),
+        "_replace": lambda: good._replace(**{name: bad}),
+    }[path]
+    with pytest.raises(ValueError):
+        build()
+
+
+def test_config_and_report_pickle_and_are_immutable():
+    cfg = BenchConfig(lines_per_run=20, repetitions=1, seed=2, algorithms=(AlgorithmId.LIANG_BARSKY,))
+    report = run_bench(cfg)
+    for value in (cfg, report, report.timings[0]):
+        back = pickle.loads(pickle.dumps(value))
+        assert back == value and type(back) is type(value)
+        with pytest.raises(AttributeError):
+            setattr(value, value._fields[0], None)
+    assert BenchConfig() == (SPACE, WINDOW, 1_000_000, 10, 1, tuple(AlgorithmId))
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,6 @@
+import os
 import re
+import threading
 
 import pytest
 
@@ -246,6 +248,29 @@ def test_bench_failed_run_keeps_earlier_out_file(capsys, monkeypatch, tmp_path):
         return [row.split(",")[:2] + row.split(",")[3:] for row in text.splitlines()]
 
     assert masked(path.read_text(encoding="utf-8")) == masked(run_cli(capsys, *args)[1])
+
+
+def test_bench_out_to_fifo_and_device(capsys, tmp_path):
+    # Neither a FIFO nor /dev/null can be truncated; the report is written anyway.
+    args = ("bench", "--lines", "50", "--reps", "1", "--format", "csv")
+    fifo = tmp_path / "report.fifo"
+    os.mkfifo(fifo)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(fifo.read_text(encoding="utf-8")))
+    reader.start()
+    try:
+        code, out, err = run_cli(capsys, *args, "--out", str(fifo))
+    finally:
+        if reader.is_alive():  # unblock a reader still waiting for a writer
+            with open(fifo, "w"):
+                pass
+        reader.join(timeout=30)
+    assert not reader.is_alive()
+    assert (code, out, err) == (0, "", "")
+    lines = received[0].splitlines()
+    assert lines[0] == "algorithm,run,seconds,accepted,checksum"
+    assert len(lines) == 1 + 7
+    assert run_cli(capsys, *args, "--out", os.devnull) == (0, "", "")
 
 
 def test_bench_window_outside_space_exits_2(capsys):

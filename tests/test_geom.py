@@ -1,8 +1,16 @@
 import math
+import pickle
 
 import pytest
 
-from clipbench.geom import ClipWindow, Point2, Segment, require_window_in_space
+from clipbench.geom import (
+    REJECTED,
+    ClipResult,
+    ClipWindow,
+    Point2,
+    Segment,
+    require_window_in_space,
+)
 
 W = ClipWindow(-100, -75, 100, 75)
 
@@ -36,3 +44,48 @@ def test_degenerate_segment_is_legal():
     s = Segment.of(5, 5, 5, 5)
     assert s.p1 == s.p2
 
+
+
+# The records are immutable named tuples: each check runs however a
+# value is built, and a value survives a pickle round trip.
+
+BAD_FIELDS = [
+    (Point2(0.0, 0.0), "x", math.nan),
+    (Point2(0.0, 0.0), "y", math.inf),
+    (W, "xmax", -200.0),  # swapped
+    (W, "ymin", 75.0),  # zero height
+    (W, "xmin", -math.inf),
+]
+
+
+@pytest.mark.parametrize("path", ["constructor", "_make", "_replace"])
+@pytest.mark.parametrize("good, name, bad", BAD_FIELDS)
+def test_bad_record_raises_on_every_construction_path(good, name, bad, path):
+    values = [bad if field == name else value for field, value in zip(good._fields, good)]
+    build = {
+        "constructor": lambda: type(good)(*values),
+        "_make": lambda: type(good)._make(values),
+        "_replace": lambda: good._replace(**{name: bad}),
+    }[path]
+    with pytest.raises(ValueError):
+        build()
+
+
+@pytest.mark.parametrize("value", [
+    Point2(1.5, -2.0), Segment.of(0, 1, 2, 3), W, ClipResult(Segment.of(0, 0, 1, 1)), REJECTED,
+])
+def test_record_pickles_and_is_immutable(value):
+    back = pickle.loads(pickle.dumps(value))
+    assert back == value and type(back) is type(value)
+    with pytest.raises(AttributeError):
+        value.extra = 1
+    with pytest.raises(AttributeError):
+        setattr(value, value._fields[0], None)
+
+
+def test_records_unpack_and_compare_as_tuples():
+    xmin, ymin, xmax, ymax = W
+    assert (xmin, ymin, xmax, ymax) == W.bounds() == W == (-100, -75, 100, 75)
+    assert type(W.bounds()) is tuple
+    assert Segment.of(1, 2, 3, 4) == ((1, 2), (3, 4))
+    assert REJECTED == ClipResult() == (None,) and not REJECTED.accepted

@@ -30,6 +30,24 @@ def test_random_sweep_and_adversarial_suite_have_no_mismatches():
         assert check.matches + check.grazing_exempt == 5000 + report.adversarial_cases
 
 
+def test_algorithm_check_compares_and_prints_by_field():
+    check = AlgorithmCheck(AlgorithmId.KWC)
+    check.fail((0.0, 1.0, 2.0, 3.0), "reason")
+    assert check == AlgorithmCheck(AlgorithmId.KWC, 0, 0, 1, [((0.0, 1.0, 2.0, 3.0), "reason")])
+    assert check != AlgorithmCheck(AlgorithmId.KWC)
+    assert repr(check) == (
+        "AlgorithmCheck(algorithm=<AlgorithmId.KWC: 'KWC'>, matches=0, grazing_exempt=0, "
+        "mismatches=1, failures=[((0.0, 1.0, 2.0, 3.0), 'reason')])"
+    )
+    with pytest.raises(TypeError):  # mutable, so unhashable
+        hash(check)
+    report = VerificationReport(0, 1, 0, [check])
+    assert not report.ok
+    assert report == (0, 1, 0, [check])
+    with pytest.raises(AttributeError):
+        report.checks = []
+
+
 def _row_wise_report(cases, seed, space, window, kernels):
     """Reference sweep: the oracle and then every kernel, case by case."""
     kernel_map = dict(KERNELS)

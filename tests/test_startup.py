@@ -1,10 +1,10 @@
 """Start-up imports: a clipbench process loads only the modules it runs.
 
-``hashlib`` (which loads OpenSSL), ``fractions``, ``decimal`` and
-``typing`` stay out of a fresh process that imports the CLI and both
-harnesses.  ``Fraction`` and ``Decimal`` are imported on first use, which
-only a cold process can exercise: this test process has imported them
-long before.
+``hashlib`` (which loads OpenSSL), ``fractions``, ``decimal``,
+``typing``, ``dataclasses`` and ``inspect`` stay out of a fresh process
+that imports the CLI and both harnesses.  ``Fraction`` and ``Decimal``
+are imported on first use, which only a cold process can exercise: this
+test process has imported them long before.
 """
 
 import hashlib
@@ -22,7 +22,7 @@ import sys
 
 from clipbench import bench, cli, verify
 
-unused = ("_hashlib", "fractions", "decimal", "typing")
+unused = ("_hashlib", "fractions", "decimal", "typing", "dataclasses", "inspect")
 loaded = [m for m in unused if m in sys.modules]
 assert not loaded, f"loaded at start-up: {loaded}"
 
