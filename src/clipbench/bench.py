@@ -6,9 +6,10 @@ is bit-identical across runs and platforms.  The stream is materialized
 once, one chunk of at most ``CHUNK_SIZE`` segments at a time, and each
 chunk is clipped by every repetition and every algorithm before the next
 one is generated.  Timing covers the clip calls only: generation happens
-before the timer starts and results are folded into a checksum after it
-stops.  A warm-up runs first on each chunk: every algorithm clips the
-chunk's first 1,024 segments, neither timed into the report nor folded.
+before the timer starts, and results are folded into a checksum and
+released after it stops.  A warm-up runs first on each chunk: every
+algorithm clips the chunk's first 1,024 segments, neither timed into the
+report nor folded.
 Measured against its later passes, a kernel's first timed pass is as
 fast after that prefix as after a warm-up over the whole chunk, within
 the host's noise, so a full pass would only cost time.  The first pass
@@ -105,31 +106,29 @@ def _materialize(state: int, space: ClipWindow, count: int):
     block of draws is therefore mixed at once: one int holds one
     128-bit lane per draw, wide enough for each 64 x 64-bit product,
     and masks keep each lane's low 64 bits, dropping the high half of
-    each product and what a shift carried in from the next lane.
+    each product and what a shift carried in from the next lane.  Every
+    block is mixed at full width, and a partial last block keeps only
+    the draws it needs.
     """
     xlo = space.xmin
     ylo = space.ymin
     xspan = space.xmax - space.xmin
     yspan = space.ymax - space.ymin
-    ones, steps, low64 = _ONES, _STEPS, _LOW64
     buf = []
     extend = buf.extend
     for start in range(0, count, _BLOCK):
         n = min(_BLOCK, count - start)
-        if n < _BLOCK:  # the last block: keep its 4n low lanes
-            keep = (1 << (4 * n * _LANE_BYTES * 8)) - 1
-            ones, steps, low64 = ones & keep, steps & keep, low64 & keep
-        z = (state * ones + steps) & low64
-        z = ((z ^ (z >> 30)) & low64) * _MIX1 & low64
-        z = ((z ^ (z >> 27)) & low64) * _MIX2 & low64
+        z = (state * _ONES + _STEPS) & _LOW64
+        z = ((z ^ (z >> 30)) & _LOW64) * _MIX1 & _LOW64
+        z = ((z ^ (z >> 27)) & _LOW64) * _MIX2 & _LOW64
         # The last shift's carry lands in each lane's high word, which
         # _LOW_WORDS drops, so it needs no mask.
         z ^= z >> 31
-        words = memoryview(z.to_bytes(4 * n * _LANE_BYTES, sys.byteorder)).cast("Q")
+        words = memoryview(z.to_bytes(4 * _BLOCK * _LANE_BYTES, sys.byteorder)).cast("Q")
         # Each tuple is built right after its four coordinates, so they
         # lie together in memory for the clip passes; coordinates built
         # one list per coordinate slowed every kernel by several percent.
-        draws = iter(words[_LOW_WORDS])
+        draws = iter(words[_LOW_WORDS][:4 * n])
         extend([
             (xlo + (u1 / _TWO64) * xspan, ylo + (u2 / _TWO64) * yspan,
              xlo + (u3 / _TWO64) * xspan, ylo + (u4 / _TWO64) * yspan)
@@ -298,6 +297,9 @@ def run_bench(config: BenchConfig) -> BenchReport:
                 if rep:  # rep 0 is the warm-up
                     elapsed[algo, rep] += dt
                     folds[algo, rep].update(results)
+                # Freed here, or the next pass's timer would cover the
+                # release of this pass's list and accepted tuples.
+                del results
 
     timings = []
     for algo, rep in runs:
@@ -421,7 +423,8 @@ def _render_json(report: BenchReport) -> str:
 
 
 def parse_report(text: str) -> BenchReport:
-    """Inverse of the json rendering; parse(render(r)) == r."""
+    """Inverse of the json rendering; parse(render(r)) == r.  Only the
+    config and timings are read; averages and speedups are derived again."""
     doc = json.loads(text)
     c = doc["config"]
     config = BenchConfig(
@@ -442,4 +445,4 @@ def parse_report(text: str) -> BenchReport:
         )
         for t in doc["timings"]
     )
-    return BenchReport(config, timings, doc["averages"], doc["speedups_vs_proposed"])
+    return build_report(config, timings)

@@ -63,23 +63,22 @@ class ExactClipOutcome:
     """Accept with exact rational endpoints, or reject; plus the grazing flag.
 
     An immutable value, equal and hashed by ``accepted``, ``grazing``,
-    ``p1`` and ``p2``.  An accept keeps its endpoints as integer
-    numerators over two positive denominators, one per endpoint, and
-    ``p1`` and ``p2`` build reduced ``Fraction`` pairs from them when
-    read.  ``p1`` and ``p2`` are None on a reject.
+    ``p1`` and ``p2``.  An accept is built from its endpoints as
+    ``ends = (x1, y1, d1, x2, y2, d2)``, integer numerators over two
+    positive denominators, endpoint i at ``(xi / di, yi / di)``; a reject
+    has ``ends=None``.  ``p1`` and ``p2`` build reduced ``Fraction``
+    pairs from ``ends`` when read, and are None on a reject.  An outcome
+    pickles as ``(accepted, grazing, ends)``.
     """
 
     __slots__ = ("accepted", "grazing", "_ends")
 
-    def __init__(
-        self,
-        accepted: bool,
-        grazing: bool,
-        p1: tuple[Fraction, Fraction] | None = None,
-        p2: tuple[Fraction, Fraction] | None = None,
-    ) -> None:
-        ends = None if p1 is None else (*_common_ratio(p1), *_common_ratio(p2))
-        _init_outcome(self, accepted, grazing, ends)
+    def __init__(self, accepted: bool, grazing: bool, ends: tuple | None = None) -> None:
+        # Frozen fields are set through object.__setattr__, as dataclasses do.
+        setattr_ = object.__setattr__
+        setattr_(self, "accepted", accepted)
+        setattr_(self, "grazing", grazing)
+        setattr_(self, "_ends", ends)
 
     @property
     def p1(self) -> tuple[Fraction, Fraction] | None:
@@ -132,30 +131,7 @@ class ExactClipOutcome:
         raise AttributeError(f"cannot delete field {name!r}")
 
     def __reduce__(self):
-        return ExactClipOutcome, self._key()
-
-
-def _common_ratio(point) -> tuple[int, int, int]:
-    """A rational point as two integer numerators over one positive
-    denominator."""
-    (xn, xd), (yn, yd) = (v.as_integer_ratio() for v in point)
-    return xn * yd, yn * xd, xd * yd
-
-
-def _init_outcome(outcome, accepted, grazing, ends) -> None:
-    # Frozen fields are set through object.__setattr__, as dataclasses do.
-    setattr_ = object.__setattr__
-    setattr_(outcome, "accepted", accepted)
-    setattr_(outcome, "grazing", grazing)
-    setattr_(outcome, "_ends", ends)
-
-
-def _accept(grazing: bool, ends: tuple) -> ExactClipOutcome:
-    """An accept from ``(x1, y1, d1, x2, y2, d2)``, endpoint i at
-    ``(xi / di, yi / di)`` with ``di > 0``."""
-    outcome = object.__new__(ExactClipOutcome)
-    _init_outcome(outcome, True, grazing, ends)
-    return outcome
+        return ExactClipOutcome, (self.accepted, self.grazing, self._ends)
 
 
 # Rejects carry no endpoints, so every reject shares one of these two
@@ -384,7 +360,7 @@ def clip_exact(seg, window) -> ExactClipOutcome:
     if DX == 0 and DY == 0:
         # Point segment: a single-point result whenever it is inside.
         if XMIN <= X1 <= XMAX and YMIN <= Y1 <= YMAX:
-            return _accept(True, (X1, Y1, L, X1, Y1, L))
+            return ExactClipOutcome(True, True, (X1, Y1, L, X1, Y1, L))
         return _REJECT
 
     iv = _interval_ints(X1, Y1, DX, DY, XMIN, YMIN, XMAX, YMAX)
@@ -401,7 +377,7 @@ def clip_exact(seg, window) -> ExactClipOutcome:
         or (t0n == 0 and _on_boundary(X1, Y1, XMIN, YMIN, XMAX, YMAX))
         or (t1n == t1d and _on_boundary(X2, Y2, XMIN, YMIN, XMAX, YMAX))
     )
-    return _accept(grazing, (
+    return ExactClipOutcome(True, grazing, (
         X1 * t0d + t0n * DX, Y1 * t0d + t0n * DY, t0d * L,
         X1 * t1d + t1n * DX, Y1 * t1d + t1n * DY, t1d * L,
     ))

@@ -31,7 +31,7 @@ __all__ = ["AlgorithmCheck", "VerificationReport", "adversarial_segments", "run_
 # the stream as well as the per-pass lists, so a sweep's peak RSS does not
 # grow with its case count.  A multiple of the generator's own block
 # (bench._BLOCK), so generating block by block does the same lane work as
-# one whole-stream call and only the last block mixes a partial one.
+# one whole-stream call.
 _BLOCK = 1024
 
 
@@ -240,11 +240,13 @@ def run_verification(
                 res = results[i]
                 if res is None:
                     failed.append((i, "rejects where the exact clipper accepts"))
-                elif (
-                    abs(res[0] - gx1) > tolerance
-                    or abs(res[1] - gy1) > tolerance
-                    or abs(res[2] - gx2) > tolerance
-                    or abs(res[3] - gy2) > tolerance
+                # Written so that a NaN coordinate, which compares False
+                # with everything, is a mismatch.
+                elif not (
+                    abs(res[0] - gx1) <= tolerance
+                    and abs(res[1] - gy1) <= tolerance
+                    and abs(res[2] - gx2) <= tolerance
+                    and abs(res[3] - gy2) <= tolerance
                 ):
                     failed.append((i, "accepted endpoints differ from the exact clip"))
             check.matches += len(rejects) + len(accepts) - len(failed)

@@ -10,13 +10,7 @@ import re
 
 import pytest
 
-from clipbench.bench import (
-    BenchConfig,
-    _materialize,
-    mean_seconds,
-    run_bench,
-    speedup_percent,
-)
+from clipbench.bench import _materialize, mean_seconds, speedup_percent
 from clipbench.cli import main
 from clipbench.clippers import EDGE_TABLE, KERNELS, AlgorithmId
 from clipbench.clippers.skala import clip_coords as skala_clip
@@ -180,17 +174,34 @@ def test_criterion_5_skala_mask_validation():
     )
 
 
-def test_criterion_6_benchmark_determinism(tmp_path, capsys):
-    outputs = []
+# Every algorithm's (accepted, checksum) on the default 1M-line protocol
+# at seed 1.  LB and CB return bit-identical results.
+STREAM_PINS_1M = {
+    "CS": ("163350", "b39fc526f310d3c7"),
+    "LB": ("163350", "a344e04801429bb5"),
+    "CB": ("163350", "a344e04801429bb5"),
+    "NLN": ("163350", "7b1d8a570a1dc780"),
+    "Skala": ("163350", "03c6486d154a2c99"),
+    "KWC": ("163350", "f192eec809ba0004"),
+    "Proposed": ("163350", "1a8ee791560fb61f"),
+}
+
+
+@pytest.fixture(scope="module")
+def bench_1m_runs(tmp_path_factory):
+    """Two independent 1M-line x 3-rep CLI bench runs at seed 1, as csv
+    rows (algorithm, run, seconds, accepted, checksum); criterion 6 checks
+    them and criterion 7 ranks their seconds."""
+    runs = []
     for i in range(2):
-        path = tmp_path / f"report{i}.csv"
+        path = tmp_path_factory.mktemp("bench") / f"report{i}.csv"
         code = main(
             [
                 "bench",
                 "--lines",
                 "1000000",
                 "--reps",
-                "2",
+                "3",
                 "--seed",
                 "1",
                 "--format",
@@ -200,19 +211,23 @@ def test_criterion_6_benchmark_determinism(tmp_path, capsys):
             ]
         )
         assert code == 0
-        outputs.append(path.read_text())
+        runs.append([line.split(",") for line in path.read_text().strip().split("\n")[1:]])
+    return runs
 
-    def mask_seconds(text):
-        rows = []
-        for line in text.strip().split("\n")[1:]:
-            algo, run, _seconds, accepted, checksum = line.split(",")
-            rows.append((algo, run, accepted, checksum))
-        return rows
 
-    masked = [mask_seconds(t) for t in outputs]
+def test_criterion_6_benchmark_determinism(bench_1m_runs, capsys):
+    masked = [
+        [(algo, run, accepted, checksum) for algo, run, _seconds, accepted, checksum in rows]
+        for rows in bench_1m_runs
+    ]
     assert masked[0] == masked[1]
     accepted_counts = {row[2] for row in masked[0]}
     assert len(accepted_counts) == 1
+    assert masked[0] == [
+        (algo.value, str(rep), *STREAM_PINS_1M[algo.value])
+        for rep in range(1, 4)
+        for algo in AlgorithmId
+    ]
     with capsys.disabled():
         print(
             f"\nACCEPTANCE 6 PASS: two 1M-line bench runs byte-identical except "
@@ -220,10 +235,17 @@ def test_criterion_6_benchmark_determinism(tmp_path, capsys):
         )
 
 
-def test_criterion_7_performance_ordering_informative(capsys):
-    config = BenchConfig(lines_per_run=1_000_000, repetitions=3, seed=1)
-    report = run_bench(config)
-    ranking = sorted(report.averages.items(), key=lambda kv: kv[1])
+def test_criterion_7_performance_ordering_informative(bench_1m_runs, capsys):
+    averages = {
+        algo.value: mean_seconds(
+            float(seconds)
+            for rows in bench_1m_runs
+            for name, _run, seconds, _accepted, _checksum in rows
+            if name == algo.value
+        )
+        for algo in AlgorithmId
+    }
+    ranking = sorted(averages.items(), key=lambda kv: kv[1])
     order = ", ".join(f"{name} {avg:.3f}s" for name, avg in ranking)
     fastest = ranking[0][0]
     verdict = (
@@ -234,5 +256,5 @@ def test_criterion_7_performance_ordering_informative(capsys):
     with capsys.disabled():
         print(
             f"\nACCEPTANCE 7 PASS (informative, non-gating): {verdict}; "
-            f"ranking: {order}"
+            f"ranking over 6 reps: {order}"
         )

@@ -293,6 +293,24 @@ def test_multi_chunk_run_matches_single_chunk_counts(monkeypatch):
     assert len(key(chunked)) == 7 * 2
 
 
+# Every algorithm's (accepted, checksum) for seed 1, 100k lines, the
+# default space and window.  LB and CB return bit-identical results.
+STREAM_PINS_100K = {
+    AlgorithmId.COHEN_SUTHERLAND: (16566, 0x5D9AFC063FD5AE41),
+    AlgorithmId.LIANG_BARSKY: (16566, 0x48B1AEB8786D8761),
+    AlgorithmId.CYRUS_BECK: (16566, 0x48B1AEB8786D8761),
+    AlgorithmId.NICHOLL_LEE_NICHOLL: (16566, 0x1EF2E80A7DBE5566),
+    AlgorithmId.SKALA: (16566, 0x1682F26DD926AFB1),
+    AlgorithmId.KWC: (16566, 0x8004F5A91B29AA85),
+    AlgorithmId.PROPOSED: (16566, 0xDE24CDFFE3F9B73B),
+}
+
+
+def test_stream_checksums_are_pinned():
+    report = run_bench(BenchConfig(lines_per_run=100_000, repetitions=1, seed=1))
+    assert {t.algorithm: (t.accepted_count, t.checksum) for t in report.timings} == STREAM_PINS_100K
+
+
 def _with_proposed_kernel(monkeypatch, kernel):
     import clipbench.bench as bench_mod
 
@@ -365,6 +383,46 @@ def test_warm_up_clips_a_prefix_of_each_chunk(monkeypatch):
     assert key(run_bench(cfg)) == key(real_report)
     assert calls[0] == expected_calls
     assert real_report.timings[0].accepted_count > 0
+
+
+def test_no_pass_times_the_release_of_earlier_results(monkeypatch):
+    # Every accepted tuple logs its release and every timer read logs a
+    # tick; a pass is timed between two consecutive ticks, so no release
+    # may fall after an odd number of ticks.
+    import clipbench.bench as bench_mod
+
+    events = []
+    real = KERNELS[AlgorithmId.PROPOSED]
+    perf = bench_mod.time.perf_counter
+
+    class Tracked(tuple):
+        __slots__ = ()
+
+        def __del__(self):
+            events.append("free")
+
+    def tracked(*args):
+        r = real(*args)
+        return r if r is None else Tracked(r)
+
+    def tick():
+        events.append("tick")
+        return perf()
+
+    _with_proposed_kernel(monkeypatch, tracked)
+    monkeypatch.setattr(bench_mod.time, "perf_counter", tick)
+    cfg = BenchConfig(lines_per_run=_WARMUP + 200, repetitions=3, seed=3,
+                      algorithms=(AlgorithmId.PROPOSED, AlgorithmId.KWC))
+    report = run_bench(cfg)
+    monkeypatch.undo()
+    assert events.count("free") > 3 * report.timings[0].accepted_count > 0
+    ticks = 0
+    for event in events:
+        if event == "tick":
+            ticks += 1
+        else:
+            assert ticks % 2 == 0, f"a release fell inside pass {ticks // 2 + 1}"
+    assert ticks == 2 * len(cfg.algorithms) * (cfg.repetitions + 1)
 
 
 # ---------------------------------------------------------------------------

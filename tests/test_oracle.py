@@ -315,9 +315,9 @@ def test_equal_outcomes_are_equal_values_whatever_the_input_types():
         assert outcomes[0] == outcomes[1] == outcomes[2]
         assert len({hash(o) for o in outcomes}) == 1
         o = outcomes[0]
-        # The same value as built from its Fractions, which the dataclass
-        # form of the outcome also hashed by.
-        rebuilt = ExactClipOutcome(o.accepted, o.grazing, o.p1, o.p2)
+        # The same value as built from its integer endpoints, and hashed
+        # by its Fractions, as the dataclass form of the outcome was.
+        rebuilt = ExactClipOutcome(o.accepted, o.grazing, o._ends)
         assert rebuilt == o and hash(rebuilt) == hash(o)
         assert hash(o) == hash((o.accepted, o.grazing, o.p1, o.p2))
         assert pickle.loads(pickle.dumps(o)) == copy.copy(o) == o

@@ -77,7 +77,7 @@ def _row_wise_report(cases, seed, space, window, kernels):
                     check.fail(seg, "accepts where the exact clipper rejects")
             elif res is None:
                 check.fail(seg, "rejects where the exact clipper accepts")
-            elif any(abs(r - float(e)) > 1e-9 for r, e in zip(res, (*exact.p1, *exact.p2))):
+            elif not all(abs(r - float(e)) <= 1e-9 for r, e in zip(res, (*exact.p1, *exact.p2))):
                 check.fail(seg, "accepted endpoints differ from the exact clip")
             else:
                 check.matches += 1
@@ -93,6 +93,26 @@ def _flipped_cs(*args):
     if KERNELS[AlgorithmId.COHEN_SUTHERLAND](*args) is None:
         return args[:4]
     return None
+
+
+def _nan_proposed(*args):
+    res = KERNELS[AlgorithmId.PROPOSED](*args)
+    return res if res is None else (float("nan"),) * 4
+
+
+def test_nan_endpoints_never_match():
+    # A NaN coordinate compares False with everything, so a comparison
+    # that flags only a difference above the tolerance passes it.
+    kernels = {AlgorithmId.PROPOSED: _nan_proposed}
+    report = run_verification(2000, 1, SPACE, WINDOW, kernels=kernels)
+    stream, _ = _materialize(1, SPACE, 2000)
+    cases = stream + adversarial_segments(WINDOW)
+    accepts = sum(clip_exact(seg, WINDOW).accepted for seg in cases)
+    nan = report.checks[-1]
+    assert nan.algorithm is AlgorithmId.PROPOSED
+    assert (nan.matches, nan.grazing_exempt, nan.mismatches) == (len(cases) - accepts, 0, accepts)
+    assert accepts == 385
+    assert all(c.mismatches == 0 for c in report.checks[:-1])
 
 
 @pytest.mark.parametrize(
