@@ -1,3 +1,4 @@
+import errno
 import os
 import re
 import threading
@@ -256,15 +257,25 @@ def test_bench_out_to_fifo_and_device(capsys, tmp_path):
     fifo = tmp_path / "report.fifo"
     os.mkfifo(fifo)
     received = []
-    reader = threading.Thread(target=lambda: received.append(fifo.read_text(encoding="utf-8")))
+    reader = threading.Thread(
+        target=lambda: received.append(fifo.read_text(encoding="utf-8")), daemon=True
+    )
     reader.start()
     try:
         code, out, err = run_cli(capsys, *args, "--out", str(fifo))
     finally:
-        if reader.is_alive():  # unblock a reader still waiting for a writer
-            with open(fifo, "w"):
-                pass
-        reader.join(timeout=30)
+        # A reader still waiting for a writer is unblocked by opening the
+        # FIFO for writing.  The open must not block: the reader may be
+        # past its read and closing, and then no reader would ever come.
+        for _ in range(300):
+            reader.join(timeout=0.1)
+            if not reader.is_alive():
+                break
+            try:
+                os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
+            except OSError as exc:  # ENXIO: the FIFO has no reader
+                if exc.errno != errno.ENXIO:
+                    raise
     assert not reader.is_alive()
     assert (code, out, err) == (0, "", "")
     lines = received[0].splitlines()
