@@ -69,12 +69,16 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = self._NEGATIVE_NUMBER
 
 
-def _window_arg(parser, name, default, text):
+# Every default that a BenchConfig field has comes from BenchConfig.
+_DEFAULTS = BenchConfig._field_defaults
+
+
+def _window_arg(parser, field, text):
     parser.add_argument(
-        name,
+        "--" + field,
         nargs=4,
         type=float,
-        default=list(default),
+        default=list(_DEFAULTS[field]),
         metavar=("XMIN", "YMIN", "XMAX", "YMAX"),
         help=text + " (default: %(default)s)",
     )
@@ -92,16 +96,16 @@ def _make_parser() -> argparse.ArgumentParser:
     p_clip.add_argument(
         "--seg", nargs=4, type=float, required=True, metavar=("X1", "Y1", "X2", "Y2")
     )
-    _window_arg(p_clip, "--window", (-100.0, -75.0, 100.0, 75.0), "clip window bounds")
+    _window_arg(p_clip, "window", "clip window bounds")
     p_clip.set_defaults(func=_cmd_clip)
 
     p_bench = sub.add_parser("bench", help="run the timed benchmark protocol")
-    p_bench.add_argument("--lines", type=int, default=1_000_000)
-    p_bench.add_argument("--reps", type=int, default=10)
-    p_bench.add_argument("--seed", type=int, default=1)
+    p_bench.add_argument("--lines", type=int, default=_DEFAULTS["lines_per_run"])
+    p_bench.add_argument("--reps", type=int, default=_DEFAULTS["repetitions"])
+    p_bench.add_argument("--seed", type=int, default=_DEFAULTS["seed"])
     p_bench.add_argument("--format", choices=("csv", "md", "json"), default="md")
-    _window_arg(p_bench, "--space", (-960.0, -720.0, 960.0, 720.0), "generation space bounds")
-    _window_arg(p_bench, "--window", (-100.0, -75.0, 100.0, 75.0), "clip window bounds")
+    _window_arg(p_bench, "space", "generation space bounds")
+    _window_arg(p_bench, "window", "clip window bounds")
     p_bench.add_argument("--out", default=None, help="output path (default: stdout)")
     p_bench.add_argument(
         "--algorithms",
@@ -112,9 +116,9 @@ def _make_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="compare every clipper against the exact oracle")
     p_verify.add_argument("--cases", type=int, default=100_000)
-    p_verify.add_argument("--seed", type=int, default=1)
-    _window_arg(p_verify, "--space", (-960.0, -720.0, 960.0, 720.0), "generation space bounds")
-    _window_arg(p_verify, "--window", (-100.0, -75.0, 100.0, 75.0), "clip window bounds")
+    p_verify.add_argument("--seed", type=int, default=_DEFAULTS["seed"])
+    _window_arg(p_verify, "space", "generation space bounds")
+    _window_arg(p_verify, "window", "clip window bounds")
     p_verify.add_argument("--tolerance", type=float, default=1e-9)
     p_verify.set_defaults(func=_cmd_verify)
     return parser

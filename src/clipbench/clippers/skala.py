@@ -1,12 +1,15 @@
 """Corner-classification clipper over homogeneous line coordinates.
 
 The segment's supporting line (a, b, c) with ax + by + c = 0 comes from
-the cross product of the endpoints lifted to (x, y, 1).  The four window
-corners are classified by the sign of a*x + b*y + c into a 4-bit mask,
-and a 16-entry table derived from that corner-sign enumeration names the
-at most two window edges the infinite line crosses.  The two edge
-intersections form the line's span inside the window, which is finally
-intersected with the segment's own extent.
+the cross product of the endpoints lifted to (x, y, 1).  The line is
+evaluated with the origin moved to the first endpoint, as
+a*(x - x1) + b*(y - y1): the same function, without forming
+c = x1*y2 - x2*y1, which cancels catastrophically far from the origin.
+The four window corners are classified by the sign of that value into a
+4-bit mask, and a 16-entry table derived from that corner-sign
+enumeration names the at most two window edges the infinite line
+crosses.  The two edge intersections form the line's span inside the
+window, which is finally intersected with the segment's own extent.
 
 Corners lying exactly on the line classify against the strict majority,
 so they always join the crossing arc.  That choice is independent of the
@@ -41,17 +44,17 @@ def _build_edge_table():
 EDGE_TABLE = _build_edge_table()
 
 
-def _edge_point(edge, a, b, c, xmin, ymin, xmax, ymax):
+def _edge_point(edge, x1, y1, a, b, xmin, ymin, xmax, ymax):
     # The table only selects an edge when the corresponding denominator
     # is nonzero: a sign change across a horizontal edge needs a != 0,
     # across a vertical edge b != 0.
     if edge == 0:
-        return (-c - b * ymin) / a, ymin
+        return x1 - b * (ymin - y1) / a, ymin
     if edge == 1:
-        return xmax, (-c - a * xmax) / b
+        return xmax, y1 - a * (xmax - x1) / b
     if edge == 2:
-        return (-c - b * ymax) / a, ymax
-    return xmin, (-c - a * xmin) / b
+        return x1 - b * (ymax - y1) / a, ymax
+    return xmin, y1 - a * (xmin - x1) / b
 
 
 def clip_coords(x1, y1, x2, y2, xmin, ymin, xmax, ymax):
@@ -61,11 +64,14 @@ def clip_coords(x1, y1, x2, y2, xmin, ymin, xmax, ymax):
         return None
     a = y1 - y2
     b = x2 - x1
-    c = x1 * y2 - x2 * y1
-    f0 = a * xmin + b * ymin + c
-    f1 = a * xmax + b * ymin + c
-    f2 = a * xmax + b * ymax + c
-    f3 = a * xmin + b * ymax + c
+    ex0 = xmin - x1
+    ex1 = xmax - x1
+    ey0 = ymin - y1
+    ey1 = ymax - y1
+    f0 = a * ex0 + b * ey0
+    f1 = a * ex1 + b * ey0
+    f2 = a * ex1 + b * ey1
+    f3 = a * ex0 + b * ey1
     mask = 0
     if f0 > 0.0:
         mask |= 1
@@ -91,8 +97,8 @@ def clip_coords(x1, y1, x2, y2, xmin, ymin, xmax, ymax):
     edges = EDGE_TABLE[mask]
     if not edges:
         return None
-    ax, ay = _edge_point(edges[0], a, b, c, xmin, ymin, xmax, ymax)
-    bx, by = _edge_point(edges[1], a, b, c, xmin, ymin, xmax, ymax)
+    ax, ay = _edge_point(edges[0], x1, y1, a, b, xmin, ymin, xmax, ymax)
+    bx, by = _edge_point(edges[1], x1, y1, a, b, xmin, ymin, xmax, ymax)
     # Clamp the line's window span to the segment extent, parameterizing
     # along the dominant direction component.
     dx = b

@@ -40,9 +40,9 @@ test, but its comparisons are exact and it uses a float sign only when
 certified, not rounded, so it has no rounding error to share with any
 clipper.
 
-An accept keeps its endpoints as the integers the clip produced: two
-numerators over one positive denominator per endpoint.  ``p1`` and
-``p2`` build reduced ``Fraction`` pairs from them when read, and
+An accept keeps its endpoints as integers: two numerators over one
+positive denominator per endpoint, divided by their common gcd.  ``p1``
+and ``p2`` build reduced ``Fraction`` pairs from them when read, and
 ``_float_ends`` returns each coordinate as ``n / d``.  Python's int true
 division is correctly rounded, so ``n / d`` is the double nearest the
 exact value, the same double as ``float(Fraction(n, d))``.  Every value
@@ -52,51 +52,48 @@ arithmetic with any clipper.
 
 from __future__ import annotations
 
-from math import inf, lcm
+from collections import namedtuple
+from math import gcd, inf, lcm
 
-from .geom import Segment
+from .geom import Segment, _checked_make
 
 __all__ = ["ExactClipOutcome", "clip_exact"]
 
 
-class ExactClipOutcome:
+class ExactClipOutcome(namedtuple("ExactClipOutcome", "accepted grazing ends", defaults=(None,))):
     """Accept with exact rational endpoints, or reject; plus the grazing flag.
 
-    An immutable value, equal and hashed by ``accepted``, ``grazing``,
-    ``p1`` and ``p2``.  An accept is built from its endpoints as
-    ``ends = (x1, y1, d1, x2, y2, d2)``, integer numerators over two
-    positive denominators, endpoint i at ``(xi / di, yi / di)``; a reject
-    has ``ends=None``.  ``p1`` and ``p2`` build reduced ``Fraction``
-    pairs from ``ends`` when read, and are None on a reject.  An outcome
-    pickles as ``(accepted, grazing, ends)``.
+    An accept's ``ends = (x1, y1, d1, x2, y2, d2)`` holds integer
+    numerators over two positive denominators, endpoint i at
+    ``(xi / di, yi / di)``; a reject has ``ends=None``.  Each endpoint is
+    reduced by ``gcd(xi, yi, di)`` however the outcome is built, which
+    makes its integer form unique, so outcomes compare and hash as tuples
+    by exact value.  ``p1`` and ``p2`` build reduced ``Fraction`` pairs
+    from ``ends`` when read, and are None on a reject.
     """
 
-    __slots__ = ("accepted", "grazing", "_ends")
+    __slots__ = ()
 
-    def __init__(self, accepted: bool, grazing: bool, ends: tuple | None = None) -> None:
-        # Frozen fields are set through object.__setattr__, as dataclasses do.
-        setattr_ = object.__setattr__
-        setattr_(self, "accepted", accepted)
-        setattr_(self, "grazing", grazing)
-        setattr_(self, "_ends", ends)
+    def __new__(cls, accepted: bool, grazing: bool, ends: tuple | None = None):
+        if ends is not None:
+            x1, y1, d1, x2, y2, d2 = ends
+            g1 = gcd(x1, y1, d1)
+            g2 = gcd(x2, y2, d2)
+            ends = x1 // g1, y1 // g1, d1 // g1, x2 // g2, y2 // g2, d2 // g2
+        return super().__new__(cls, accepted, grazing, ends)
 
-    @property
-    def p1(self) -> tuple[Fraction, Fraction] | None:
-        if self._ends is None:
+    _make = classmethod(_checked_make)
+
+    def _point(self, i: int) -> tuple[Fraction, Fraction] | None:
+        if self.ends is None:
             return None
         from fractions import Fraction
 
-        x, y, d = self._ends[:3]
+        x, y, d = self.ends[i:i + 3]
         return Fraction(x, d), Fraction(y, d)
 
-    @property
-    def p2(self) -> tuple[Fraction, Fraction] | None:
-        if self._ends is None:
-            return None
-        from fractions import Fraction
-
-        x, y, d = self._ends[3:]
-        return Fraction(x, d), Fraction(y, d)
+    p1 = property(lambda self: self._point(0))
+    p2 = property(lambda self: self._point(3))
 
     def _float_ends(self) -> tuple[float, float, float, float]:
         """An accept's endpoints as the nearest doubles, x1, y1, x2, y2.
@@ -104,34 +101,14 @@ class ExactClipOutcome:
         Python's int true division is correctly rounded, so each ``n / d``
         equals ``float(Fraction(n, d))`` without building the Fraction.
         """
-        x1, y1, d1, x2, y2, d2 = self._ends
+        x1, y1, d1, x2, y2, d2 = self.ends
         return x1 / d1, y1 / d1, x2 / d2, y2 / d2
-
-    def _key(self) -> tuple:
-        return self.accepted, self.grazing, self.p1, self.p2
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
 
     def __repr__(self) -> str:
         return (
             f"ExactClipOutcome(accepted={self.accepted!r}, grazing={self.grazing!r}, "
             f"p1={self.p1!r}, p2={self.p2!r})"
         )
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        return ExactClipOutcome, (self.accepted, self.grazing, self._ends)
 
 
 # Rejects carry no endpoints, so every reject shares one of these two

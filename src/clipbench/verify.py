@@ -35,31 +35,15 @@ __all__ = ["AlgorithmCheck", "VerificationReport", "adversarial_segments", "run_
 _BLOCK = 1024
 
 
-class AlgorithmCheck:
-    """Per-algorithm tallies, added to in place by a sweep; the three buckets are disjoint."""
+class AlgorithmCheck(namedtuple(
+        "AlgorithmCheck", "algorithm matches grazing_exempt mismatches failures",
+        defaults=(0, 0, 0, ()))):
+    """Per-algorithm tallies of a sweep; the three buckets are disjoint.
 
-    __slots__ = ("algorithm", "matches", "grazing_exempt", "mismatches", "failures")
+    ``failures`` holds the first ten (segment, reason) pairs, in case order.
+    """
 
-    def __init__(self, algorithm: AlgorithmId, matches: int = 0, grazing_exempt: int = 0,
-                 mismatches: int = 0, failures: list | None = None) -> None:
-        self.algorithm = algorithm
-        self.matches = matches
-        self.grazing_exempt = grazing_exempt
-        self.mismatches = mismatches
-        self.failures = [] if failures is None else failures
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return all(getattr(self, name) == getattr(other, name) for name in self.__slots__)
-
-    def __repr__(self) -> str:
-        return "AlgorithmCheck(" + ", ".join(f"{n}={getattr(self, n)!r}" for n in self.__slots__) + ")"
-
-    def fail(self, seg, reason: str) -> None:
-        self.mismatches += 1
-        if len(self.failures) < 10:
-            self.failures.append((seg, reason))
+    __slots__ = ()
 
 
 class VerificationReport(namedtuple(
@@ -199,7 +183,6 @@ def run_verification(
     if kernels:
         kernel_map.update(kernels)
     checks = [AlgorithmCheck(a) for a in AlgorithmId]
-    kernel_checks = [(kernel_map[check.algorithm], check) for check in checks]
 
     x0, y0, x1, y1 = window.bounds()
     exact_window = _ExactWindow((x0, y0, x1, y1))
@@ -231,7 +214,8 @@ def run_verification(
                 rejects.append(i)
         random_grazing += sum(start + i < cases for i in grazing)
 
-        for kernel, check in kernel_checks:
+        for k, check in enumerate(checks):
+            kernel = kernel_map[check.algorithm]
             results = [kernel(sx1, sy1, sx2, sy2, x0, y0, x1, y1)
                        for sx1, sy1, sx2, sy2 in block]
             failed = [(i, "accepts where the exact clipper rejects")
@@ -249,17 +233,22 @@ def run_verification(
                     and abs(res[3] - gy2) <= tolerance
                 ):
                     failed.append((i, "accepted endpoints differ from the exact clip"))
-            check.matches += len(rejects) + len(accepts) - len(failed)
+            matches = len(rejects) + len(accepts) - len(failed)
             bad_grazing = [
                 i for i in grazing if results[i] is not None and not _grazing_accept_valid(
                     results[i], block[i], x0, y0, x1, y1, pad, tolerance)
             ]
-            check.grazing_exempt += len(grazing) - len(bad_grazing)
             failed += [(i, "grazing accept violates containment or collinearity")
                        for i in bad_grazing]
             # Failures are recorded in case order, as the first ten are kept.
             failed.sort()
-            for i, reason in failed:
-                check.fail(block[i], reason)
+            checks[k] = AlgorithmCheck(
+                check.algorithm,
+                check.matches + matches,
+                check.grazing_exempt + len(grazing) - len(bad_grazing),
+                check.mismatches + len(failed),
+                check.failures + tuple(
+                    (block[i], reason) for i, reason in failed[:10 - len(check.failures)]),
+            )
 
-    return VerificationReport(cases, len(suite), random_grazing, checks)
+    return VerificationReport(cases, len(suite), random_grazing, tuple(checks))

@@ -3,8 +3,10 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from clipbench.bench import _materialize
 from clipbench.clippers import EDGE_TABLE, KERNELS, AlgorithmId, clip
 from clipbench.geom import ClipWindow, Segment
+from clipbench.verify import adversarial_segments
 
 W = ClipWindow(-100, -75, 100, 75)
 ALGOS = list(AlgorithmId)
@@ -205,3 +207,29 @@ def test_reflection_equivariance(algo, seg, window):
         ax, ay, bx, by = res
         assert mx == pytest.approx((ax, -ay, bx, -by), abs=1e-9)
         assert my == pytest.approx((-ax, ay, -bx, by), abs=1e-9)
+
+
+# Scaling every input by 2**k is exact in doubles, so each kernel's result
+# must scale by 2**k bit for bit, as long as none of its products overflows
+# or underflows.  At the default space (|coordinate| <= 960) every kernel
+# stays inside that range up to 2**+-500.  A tolerance would hide a
+# scale-dependent constant or rewrite; comparing float.hex does not.
+SCALE_EXPONENTS = (-500, -40, -1, 1, 40, 500)
+
+
+@pytest.fixture(scope="module")
+def scaling_cases():
+    stream, _ = _materialize(1, ClipWindow(-960.0, -720.0, 960.0, 720.0), 10_000)
+    return stream + adversarial_segments(ClipWindow(-100.0, -75.0, 100.0, 75.0))
+
+
+@pytest.mark.parametrize("algo", ALGOS, ids=lambda a: a.value)
+def test_power_of_two_scaling_is_exact(algo, scaling_cases):
+    kernel = KERNELS[algo]
+    bounds = (-100.0, -75.0, 100.0, 75.0)
+    for seg in scaling_cases:
+        res = kernel(*seg, *bounds)
+        for k in SCALE_EXPONENTS:
+            scaled = kernel(*(math.ldexp(v, k) for v in (*seg, *bounds)))
+            expected = None if res is None else [math.ldexp(v, k).hex() for v in res]
+            assert (None if scaled is None else [v.hex() for v in scaled]) == expected, (k, seg)

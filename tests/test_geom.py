@@ -3,6 +3,7 @@ import pickle
 
 import pytest
 
+from clipbench.clippers import AlgorithmId
 from clipbench.geom import (
     REJECTED,
     ClipResult,
@@ -11,6 +12,8 @@ from clipbench.geom import (
     Segment,
     require_window_in_space,
 )
+from clipbench.oracle import ExactClipOutcome
+from clipbench.verify import AlgorithmCheck
 
 W = ClipWindow(-100, -75, 100, 75)
 
@@ -73,6 +76,8 @@ def test_bad_record_raises_on_every_construction_path(good, name, bad, path):
 
 @pytest.mark.parametrize("value", [
     Point2(1.5, -2.0), Segment.of(0, 1, 2, 3), W, ClipResult(Segment.of(0, 0, 1, 1)), REJECTED,
+    ExactClipOutcome(True, False, (2, 4, 2, 3, 6, 9)),
+    AlgorithmCheck(AlgorithmId.KWC, 1, 2, 3, (((0.0, 1.0, 2.0, 3.0), "reason"),)),
 ])
 def test_record_pickles_and_is_immutable(value):
     back = pickle.loads(pickle.dumps(value))
@@ -81,6 +86,17 @@ def test_record_pickles_and_is_immutable(value):
         value.extra = 1
     with pytest.raises(AttributeError):
         setattr(value, value._fields[0], None)
+
+
+def test_outcome_ends_are_in_lowest_terms_on_every_construction_path():
+    # Each endpoint (x, y, d) is divided by gcd(x, y, d), so equal values
+    # have equal fields and tuple equality is equality by exact value.
+    outcome = ExactClipOutcome(True, False, (2, 4, 2, 3, 6, 9))
+    reduced = (1, 2, 1, 1, 2, 3)
+    assert outcome.ends == reduced
+    assert ExactClipOutcome._make((True, False, (2, 4, 2, 3, 6, 9))).ends == reduced
+    assert ExactClipOutcome(True, False)._replace(ends=(2, 4, 2, 3, 6, 9)).ends == reduced
+    assert outcome == ExactClipOutcome(True, False, reduced) == (True, False, reduced)
 
 
 def test_records_unpack_and_compare_as_tuples():
