@@ -3,7 +3,8 @@
 Each endpoint gets a 4-bit region code; both codes zero means trivial
 accept, a nonzero bitwise AND means trivial reject, and otherwise one
 out-of-window endpoint is moved onto a violated boundary and the loop
-repeats.  At most four boundary intersections are ever computed.
+repeats.  Each endpoint is moved onto each boundary at most once, so
+the loop ends.
 
 Bit assignment: LEFT = 1, RIGHT = 2, BOTTOM = 4, TOP = 8.  Boundary
 points code to 0.
@@ -35,6 +36,12 @@ def _outcode(x, y, xmin, ymin, xmax, ymax):
 def clip_coords(x1, y1, x2, y2, xmin, ymin, xmax, ymax):
     code1 = _outcode(x1, y1, xmin, ymin, xmax, ymax)
     code2 = _outcode(x2, y2, xmin, ymin, xmax, ymax)
+    # The boundaries each endpoint has been moved onto.  A moved endpoint
+    # stays inside every half-plane it was clipped to, so a bit it regains
+    # later is rounding and is dropped.  Otherwise an endpoint on a line
+    # through a window corner can alternate between the corner's two
+    # boundaries forever.
+    done1 = done2 = 0
     while True:
         if not (code1 | code2):
             return (x1, y1, x2, y2)
@@ -47,18 +54,24 @@ def clip_coords(x1, y1, x2, y2, xmin, ymin, xmax, ymax):
         if code & TOP:
             x = x1 + (x2 - x1) * (ymax - y1) / (y2 - y1)
             y = ymax
+            bit = TOP
         elif code & BOTTOM:
             x = x1 + (x2 - x1) * (ymin - y1) / (y2 - y1)
             y = ymin
+            bit = BOTTOM
         elif code & RIGHT:
             y = y1 + (y2 - y1) * (xmax - x1) / (x2 - x1)
             x = xmax
+            bit = RIGHT
         else:
             y = y1 + (y2 - y1) * (xmin - x1) / (x2 - x1)
             x = xmin
+            bit = LEFT
         if code == code1:
             x1, y1 = x, y
-            code1 = _outcode(x1, y1, xmin, ymin, xmax, ymax)
+            done1 |= bit
+            code1 = _outcode(x1, y1, xmin, ymin, xmax, ymax) & ~done1
         else:
             x2, y2 = x, y
-            code2 = _outcode(x2, y2, xmin, ymin, xmax, ymax)
+            done2 |= bit
+            code2 = _outcode(x2, y2, xmin, ymin, xmax, ymax) & ~done2

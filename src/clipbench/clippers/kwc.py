@@ -4,7 +4,7 @@ Point, vertical and horizontal segments are dispatched up front and
 resolved by direct interval intersection.  The general case walks the
 four boundaries (left, right, bottom, top) in turn: both endpoints
 beyond a boundary rejects, a single offending endpoint is moved onto
-that boundary using the explicit line equation through the current
+that boundary using the explicit line equation through the original
 endpoints.
 """
 
@@ -61,50 +61,58 @@ def clip_coords(x1, y1, x2, y2, xmin, ymin, xmax, ymax):
             nx2 = x2
         return (nx1, y1, nx2, y2)
 
-    # General case; each pass keeps the denominators nonzero because a
-    # single offending endpoint differs from the surviving one.
+    # General case.  (ax, ay) and (bx, by) are the clipped endpoints, but
+    # every crossing is taken on the line through the original endpoints,
+    # never through one that an earlier pass moved.  So no crossing depends
+    # on the order of the passes, and mirroring the input across either
+    # axis mirrors the result bit for bit.  The denominators are nonzero
+    # because x1 != x2 and y1 != y2 here.
     out1 = x1 < xmin
     out2 = x2 < xmin
     if out1 and out2:
         return None
+    ax = x1
+    ay = y1
+    bx = x2
+    by = y2
     if out1:
-        y1 = y1 + (y2 - y1) * (xmin - x1) / (x2 - x1)
-        x1 = xmin
+        ay = y1 + (y2 - y1) * (xmin - x1) / (x2 - x1)
+        ax = xmin
     elif out2:
-        y2 = y1 + (y2 - y1) * (xmin - x1) / (x2 - x1)
-        x2 = xmin
+        by = y1 + (y2 - y1) * (xmin - x1) / (x2 - x1)
+        bx = xmin
 
-    out1 = x1 > xmax
-    out2 = x2 > xmax
+    out1 = ax > xmax
+    out2 = bx > xmax
     if out1 and out2:
         return None
     if out1:
-        y1 = y1 + (y2 - y1) * (xmax - x1) / (x2 - x1)
-        x1 = xmax
+        ay = y1 + (y2 - y1) * (xmax - x1) / (x2 - x1)
+        ax = xmax
     elif out2:
-        y2 = y1 + (y2 - y1) * (xmax - x1) / (x2 - x1)
-        x2 = xmax
+        by = y1 + (y2 - y1) * (xmax - x1) / (x2 - x1)
+        bx = xmax
 
-    out1 = y1 < ymin
-    out2 = y2 < ymin
+    out1 = ay < ymin
+    out2 = by < ymin
     if out1 and out2:
         return None
     if out1:
-        x1 = x1 + (x2 - x1) * (ymin - y1) / (y2 - y1)
-        y1 = ymin
+        ax = x1 + (x2 - x1) * (ymin - y1) / (y2 - y1)
+        ay = ymin
     elif out2:
-        x2 = x1 + (x2 - x1) * (ymin - y1) / (y2 - y1)
-        y2 = ymin
+        bx = x1 + (x2 - x1) * (ymin - y1) / (y2 - y1)
+        by = ymin
 
-    out1 = y1 > ymax
-    out2 = y2 > ymax
+    out1 = ay > ymax
+    out2 = by > ymax
     if out1 and out2:
         return None
     if out1:
-        x1 = x1 + (x2 - x1) * (ymax - y1) / (y2 - y1)
-        y1 = ymax
+        ax = x1 + (x2 - x1) * (ymax - y1) / (y2 - y1)
+        ay = ymax
     elif out2:
-        x2 = x1 + (x2 - x1) * (ymax - y1) / (y2 - y1)
-        y2 = ymax
+        bx = x1 + (x2 - x1) * (ymax - y1) / (y2 - y1)
+        by = ymax
 
-    return (x1, y1, x2, y2)
+    return (ax, ay, bx, by)

@@ -295,14 +295,14 @@ def test_multi_chunk_run_matches_single_chunk_counts(monkeypatch):
 
 # Every algorithm's (accepted, checksum) for seed 1, 100k lines, the
 # default space and window.  LB and CB return bit-identical results, and
-# so do NLN and Skala.
+# so do NLN, Skala and KWC.
 STREAM_PINS_100K = {
     AlgorithmId.COHEN_SUTHERLAND: (16566, 0x5D9AFC063FD5AE41),
     AlgorithmId.LIANG_BARSKY: (16566, 0x48B1AEB8786D8761),
     AlgorithmId.CYRUS_BECK: (16566, 0x48B1AEB8786D8761),
     AlgorithmId.NICHOLL_LEE_NICHOLL: (16566, 0x1EF2E80A7DBE5566),
     AlgorithmId.SKALA: (16566, 0x1EF2E80A7DBE5566),
-    AlgorithmId.KWC: (16566, 0x8004F5A91B29AA85),
+    AlgorithmId.KWC: (16566, 0x1EF2E80A7DBE5566),
     AlgorithmId.PROPOSED: (16566, 0xDE24CDFFE3F9B73B),
 }
 

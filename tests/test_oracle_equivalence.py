@@ -199,23 +199,17 @@ def test_sweep_calls_the_oracle_by_name_once_per_case(cases, monkeypatch):
 
 # The tallies the benchmark's verify_sweep workload fingerprints at seed 7:
 # 5000 cases at the default window and with space and window translated
-# by 1e6.  Every row not listed is (5022, 33, 0).  Skala, which evaluates
-# its line relative to the first endpoint, matches everywhere; KWC's two
-# far-origin mismatches are the remaining rows.
-FAR_ORIGIN_TALLIES = {
-    AlgorithmId.KWC: (5020, 33, 2),
-}
-
-
+# by 1e6.  Every kernel matches every case at both: Skala evaluates its
+# line relative to the first endpoint, and KWC takes every crossing on
+# the line through the original endpoints.
 @pytest.mark.parametrize("shift", [0.0, 1e6])
 def test_seed_7_tallies_at_default_and_far_origin(shift):
     space = ClipWindow(*(v + shift for v in SPACE.bounds()))
     window = ClipWindow(*(v + shift for v in WINDOW.bounds()))
     report = run_verification(5000, 7, space, window)
-    expected = FAR_ORIGIN_TALLIES if shift else {}
     assert report.random_grazing == 0
     assert {c.algorithm: (c.matches, c.grazing_exempt, c.mismatches) for c in report.checks} == {
-        a: expected.get(a, (5022, 33, 0)) for a in AlgorithmId
+        a: (5022, 33, 0) for a in AlgorithmId
     }
 
 
