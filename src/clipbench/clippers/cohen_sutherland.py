@@ -36,12 +36,10 @@ def _outcode(x, y, xmin, ymin, xmax, ymax):
 def clip_coords(x1, y1, x2, y2, xmin, ymin, xmax, ymax):
     code1 = _outcode(x1, y1, xmin, ymin, xmax, ymax)
     code2 = _outcode(x2, y2, xmin, ymin, xmax, ymax)
-    # The boundaries each endpoint has been moved onto.  A moved endpoint
-    # stays inside every half-plane it was clipped to, so a bit it regains
-    # later is rounding and is dropped.  Otherwise an endpoint on a line
-    # through a window corner can alternate between the corner's two
-    # boundaries forever.
-    done1 = done2 = 0
+    # The boundaries each endpoint may still be moved onto.  Regaining the
+    # bit of one it was moved onto is rounding; dropping it stops an endpoint
+    # on a line through a window corner alternating between its boundaries.
+    keep1 = keep2 = 15
     while True:
         if not (code1 | code2):
             return (x1, y1, x2, y2)
@@ -54,24 +52,21 @@ def clip_coords(x1, y1, x2, y2, xmin, ymin, xmax, ymax):
         if code & TOP:
             x = x1 + (x2 - x1) * (ymax - y1) / (y2 - y1)
             y = ymax
-            bit = TOP
         elif code & BOTTOM:
             x = x1 + (x2 - x1) * (ymin - y1) / (y2 - y1)
             y = ymin
-            bit = BOTTOM
         elif code & RIGHT:
             y = y1 + (y2 - y1) * (xmax - x1) / (x2 - x1)
             x = xmax
-            bit = RIGHT
         else:
             y = y1 + (y2 - y1) * (xmin - x1) / (x2 - x1)
             x = xmin
-            bit = LEFT
+        bit = code & 12 or code  # the boundary tested: TOP or BOTTOM first
         if code == code1:
             x1, y1 = x, y
-            done1 |= bit
-            code1 = _outcode(x1, y1, xmin, ymin, xmax, ymax) & ~done1
+            keep1 ^= bit
+            code1 = _outcode(x1, y1, xmin, ymin, xmax, ymax) & keep1
         else:
             x2, y2 = x, y
-            done2 |= bit
-            code2 = _outcode(x2, y2, xmin, ymin, xmax, ymax) & ~done2
+            keep2 ^= bit
+            code2 = _outcode(x2, y2, xmin, ymin, xmax, ymax) & keep2

@@ -61,20 +61,15 @@ def clip_coords(x1, y1, x2, y2, xmin, ymin, xmax, ymax):
             nx2 = x2
         return (nx1, y1, nx2, y2)
 
-    # General case.  (ax, ay) and (bx, by) are the clipped endpoints, but
-    # every crossing is taken on the line through the original endpoints,
-    # never through one that an earlier pass moved.  So no crossing depends
-    # on the order of the passes, and mirroring the input across either
-    # axis mirrors the result bit for bit.  The denominators are nonzero
-    # because x1 != x2 and y1 != y2 here.
+    # General case.  (ax, ay) and (bx, by) are the clipped endpoints; every
+    # crossing is taken on the line through the original ones, which mirrors
+    # exactly.  The denominators are nonzero because x1 != x2 and y1 != y2.
     out1 = x1 < xmin
     out2 = x2 < xmin
     if out1 and out2:
         return None
-    ax = x1
-    ay = y1
-    bx = x2
-    by = y2
+    ax, ay = x1, y1
+    bx, by = x2, y2
     if out1:
         ay = y1 + (y2 - y1) * (xmin - x1) / (x2 - x1)
         ax = xmin

@@ -81,8 +81,7 @@ def clip_coords(x1, y1, x2, y2, xmin, ymin, xmax, ymax):
         mask |= 4
     if f3 > 0.0:
         mask |= 8
-    on_line = f0 == 0.0 or f1 == 0.0 or f2 == 0.0 or f3 == 0.0
-    if on_line:
+    if f0 == 0.0 or f1 == 0.0 or f2 == 0.0 or f3 == 0.0:
         # On-line corners join the arc opposite the strict majority; with
         # no strictly negative corner they stay on the zero side, which
         # is already the minority arc.
@@ -100,11 +99,9 @@ def clip_coords(x1, y1, x2, y2, xmin, ymin, xmax, ymax):
         return None
     ax, ay = _edge_point(edges[0], x1, y1, a, b, xmin, ymin, xmax, ymax)
     bx, by = _edge_point(edges[1], x1, y1, a, b, xmin, ymin, xmax, ymax)
-    if on_line:
-        # The line crosses a selected edge exactly at an on-line corner of
-        # it.  Take that corner, not the edge's rounded intersection, so
-        # the point does not depend on which of the corner's two edges the
-        # table selects (mirroring the input selects the other one).
+    if f0 == 0.0 or f1 == 0.0 or f2 == 0.0 or f3 == 0.0:
+        # An on-line corner of a selected edge is taken exactly: the edge's
+        # rounded crossing differs between the corner's two edges.
         fs = (f0, f1, f2, f3)
         corners = ((xmin, ymin), (xmax, ymin), (xmax, ymax), (xmin, ymax))
         for k in (edges[0], (edges[0] + 1) % 4):

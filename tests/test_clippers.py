@@ -1,8 +1,7 @@
 import math
-import signal
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from clipbench.bench import _materialize
 from clipbench.clippers import EDGE_TABLE, KERNELS, AlgorithmId, clip
@@ -178,8 +177,31 @@ def _check_result(res, seg, window):
     assert ta <= tb + 1e-9
 
 
+# Lines through a window corner, where the rounded crossings on the
+# corner's two boundaries disagree.  KWC used to reject the first case but
+# accept its mirror image, CS alternated between the two boundaries of the
+# second case's corner forever, and Skala accepted the last two but
+# rejected a mirror image.
+CORNER_LINES = [
+    ((257.0, 257.0, 0.0, 0.0), ClipWindow(1.804688, 0.0, 2.804688, 1.804688)),
+    (
+        (322.5, 213.5, -56.56666666666666, -165.56666666666666),
+        ClipWindow(38.2, -70.8, 324.845642, 395.2),
+    ),
+    ((689.5, 1592.1, 379.1, 689.5), ClipWindow(-207.0, 22.2, 379.1, 689.5)),
+    ((683.0, -705.1, 70.0, -205.330312), ClipWindow(-149.0, -205.330312, 70.0, 550.869688)),
+]
+
+
+def _with_corner_lines(test):
+    for seg, window in CORNER_LINES:
+        test = example(seg=seg, window=window)(test)
+    return test
+
+
 @pytest.mark.parametrize("algo", ALGOS, ids=lambda a: a.value)
 @settings(max_examples=250, deadline=None)
+@_with_corner_lines
 @given(seg=segments, window=windows())
 def test_accepted_results_are_contained_collinear_ordered(algo, seg, window):
     res = KERNELS[algo](*seg, *window.bounds())
@@ -189,12 +211,10 @@ def test_accepted_results_are_contained_collinear_ordered(algo, seg, window):
 
 @pytest.mark.parametrize("algo", ALGOS, ids=lambda a: a.value)
 @settings(max_examples=250, deadline=None)
+@_with_corner_lines
 @given(seg=segments, window=windows())
 def test_reflection_equivariance(algo, seg, window):
-    _check_reflections(KERNELS[algo], seg, window)
-
-
-def _check_reflections(kernel, seg, window):
+    kernel = KERNELS[algo]
     x1, y1, x2, y2 = seg
     res = kernel(*seg, *window.bounds())
     # Mirror across the x axis.
@@ -212,46 +232,6 @@ def _check_reflections(kernel, seg, window):
         assert mx is not None and my is not None
         assert mx == pytest.approx((ax, -ay, bx, -by), abs=1e-9)
         assert my == pytest.approx((-ax, ay, -bx, by), abs=1e-9)
-
-
-# Lines through a window corner, where the rounded crossings on the
-# corner's two boundaries disagree.  KWC used to reject the first case but
-# accept its mirror image, CS alternated between the two boundaries of the
-# second case's corner forever, and Skala accepted the last two but
-# rejected a mirror image.
-CORNER_LINES = [
-    ((257.0, 257.0, 0.0, 0.0), ClipWindow(1.804688, 0.0, 2.804688, 1.804688)),
-    (
-        (322.5, 213.5, -56.56666666666666, -165.56666666666666),
-        ClipWindow(38.2, -70.8, 324.845642, 395.2),
-    ),
-    ((689.5, 1592.1, 379.1, 689.5), ClipWindow(-207.0, 22.2, 379.1, 689.5)),
-    ((683.0, -705.1, 70.0, -205.330312), ClipWindow(-149.0, -205.330312, 70.0, 550.869688)),
-]
-
-
-class _TimedOut(Exception):
-    pass
-
-
-def _time_out(signum, frame):
-    raise _TimedOut
-
-
-@pytest.mark.parametrize("algo", ALGOS, ids=lambda a: a.value)
-@pytest.mark.parametrize("seg,window", CORNER_LINES)
-def test_lines_through_a_corner(algo, seg, window):
-    # A kernel that loops forever fails after 5 s instead of hanging.
-    previous = signal.signal(signal.SIGALRM, _time_out)
-    signal.setitimer(signal.ITIMER_REAL, 5.0)
-    try:
-        res = KERNELS[algo](*seg, *window.bounds())
-        if res is not None:
-            _check_result(res, seg, window)
-        _check_reflections(KERNELS[algo], seg, window)
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0.0)
-        signal.signal(signal.SIGALRM, previous)
 
 
 # Scaling every input by 2**k is exact in doubles, so each kernel's result
