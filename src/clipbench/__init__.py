@@ -2,13 +2,7 @@
 rational oracle for equivalence testing, and a deterministic benchmark
 harness with csv/markdown/json reports."""
 
-from .geom import (
-    REJECTED,
-    ClipResult,
-    ClipWindow,
-    Point2,
-    Segment,
-)
+from .geom import ClipWindow, Segment
 from .clippers import AlgorithmId, clip
 from .oracle import ExactClipOutcome, clip_exact
 from .bench import (
@@ -31,11 +25,8 @@ __all__ = [
     "BenchConfig",
     "BenchInvariantError",
     "BenchReport",
-    "ClipResult",
     "ClipWindow",
     "ExactClipOutcome",
-    "Point2",
-    "REJECTED",
     "RunTiming",
     "Segment",
     "VerificationReport",

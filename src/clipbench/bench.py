@@ -272,7 +272,7 @@ def run_bench(config: BenchConfig) -> BenchReport:
     count or when one algorithm's accepted count or checksum differs
     between repetitions.
     """
-    wx0, wy0, wx1, wy1 = config.window.bounds()
+    wx0, wy0, wx1, wy1 = config.window
     kernels = [(algo, KERNELS[algo]) for algo in config.algorithms]
     runs = [(algo, rep) for rep in range(1, config.repetitions + 1) for algo in config.algorithms]
     elapsed = dict.fromkeys(runs, 0.0)
@@ -368,7 +368,7 @@ def _render_markdown(report: BenchReport) -> str:
         "- timing covers the clip calls only; segment generation and any drawing are excluded",
         "- every repetition replays the identical seeded segment stream; all algorithms clip the same buffer",
         f"- lines per run: {cfg.lines_per_run}, repetitions: {cfg.repetitions}, seed: {cfg.seed}",
-        f"- space: {cfg.space.bounds()}, window: {cfg.window.bounds()}",
+        f"- space: {tuple(cfg.space)}, window: {tuple(cfg.window)}",
         "",
         "| Exec. | " + " | ".join(names) + " |",
         "|" + "---|" * (len(names) + 1),
@@ -399,8 +399,8 @@ def _render_json(report: BenchReport) -> str:
     cfg = report.config
     doc = {
         "config": {
-            "space": list(cfg.space.bounds()),
-            "window": list(cfg.window.bounds()),
+            "space": list(cfg.space),
+            "window": list(cfg.window),
             "lines_per_run": cfg.lines_per_run,
             "repetitions": cfg.repetitions,
             "seed": cfg.seed,

@@ -127,13 +127,11 @@ def _make_parser() -> argparse.ArgumentParser:
 def _cmd_clip(args) -> int:
     algorithm = _parse_algorithm(args.algorithm)
     window = ClipWindow(*args.window)
-    seg = Segment.of(*args.seg)
-    result = clip(algorithm, seg, window)
-    if result.accepted:
-        c = result.segment.coords()
-        print("ACCEPT " + " ".join(format_double(v) for v in c))
-    else:
+    result = clip(algorithm, Segment(*args.seg), window)
+    if result is None:
         print("REJECT")
+    else:
+        print("ACCEPT " + " ".join(format_double(v) for v in result))
     return 0
 
 

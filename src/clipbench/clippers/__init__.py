@@ -4,7 +4,8 @@ Each algorithm is one coordinate kernel over eight floats,
 ``(x1, y1, x2, y2, xmin, ymin, xmax, ymax) -> (x1, y1, x2, y2) | None``,
 registered in ``KERNELS`` under its ``AlgorithmId``.  The benchmark and
 verification loops call the kernels directly; ``clip`` is the typed
-entry point over the same kernels.
+entry point over the same kernels, with the same shape: a ``Segment``
+in, a ``Segment`` or None out.
 
 All clippers agree on boundary-inclusive containment and on the
 degenerate-segment convention: a point segment is accepted unchanged iff
@@ -16,7 +17,7 @@ from __future__ import annotations
 import enum
 from collections.abc import Callable
 
-from ..geom import REJECTED, ClipResult, ClipWindow, Segment
+from ..geom import ClipWindow, Segment
 from . import (
     cohen_sutherland,
     cyrus_beck,
@@ -55,9 +56,8 @@ KERNELS: dict[AlgorithmId, Callable[..., tuple | None]] = {
 }
 
 
-def clip(algorithm: AlgorithmId, seg: Segment, window: ClipWindow) -> ClipResult:
-    """Clip ``seg`` to ``window`` with the kernel of ``algorithm``."""
-    r = KERNELS[algorithm](*seg.coords(), *window.bounds())
-    if r is None:
-        return REJECTED
-    return ClipResult(Segment.of(*r))
+def clip(algorithm: AlgorithmId, seg: Segment, window: ClipWindow) -> Segment | None:
+    """Clip ``seg`` to ``window`` with the kernel of ``algorithm``: the
+    retained part as a ``Segment``, or None when the kernel rejects."""
+    r = KERNELS[algorithm](*seg, *window)
+    return None if r is None else Segment(*r)

@@ -11,11 +11,8 @@ import math
 from collections import namedtuple
 
 __all__ = [
-    "Point2",
     "Segment",
     "ClipWindow",
-    "ClipResult",
-    "REJECTED",
     "require_window_in_space",
 ]
 
@@ -30,30 +27,22 @@ def _checked_make(cls, iterable):
     return cls(*iterable)
 
 
-class Point2(namedtuple("Point2", "x y")):
-    """A point in the plane. Both coordinates must be finite."""
+class Segment(namedtuple("Segment", "x1 y1 x2 y2")):
+    """Directed segment from (x1, y1) to (x2, y2), the kernels' own form.
+
+    Every coordinate must be finite.  Degenerate segments, where both
+    endpoints are equal, are legal.
+    """
 
     __slots__ = ()
 
-    def __new__(cls, x: float, y: float) -> "Point2":
-        _require_finite("x", x)
-        _require_finite("y", y)
-        return super().__new__(cls, x, y)
+    def __new__(cls, x1: float, y1: float, x2: float, y2: float) -> "Segment":
+        self = super().__new__(cls, x1, y1, x2, y2)
+        for name, value in zip(self._fields, self):
+            _require_finite(name, value)
+        return self
 
     _make = classmethod(_checked_make)
-
-
-class Segment(namedtuple("Segment", "p1 p2")):
-    """Directed segment from p1 to p2. Degenerate segments (p1 == p2) are legal."""
-
-    __slots__ = ()
-
-    @classmethod
-    def of(cls, x1: float, y1: float, x2: float, y2: float) -> "Segment":
-        return cls(Point2(x1, y1), Point2(x2, y2))
-
-    def coords(self) -> tuple[float, float, float, float]:
-        return (*self.p1, *self.p2)
 
 
 class ClipWindow(namedtuple("ClipWindow", "xmin ymin xmax ymax")):
@@ -76,22 +65,6 @@ class ClipWindow(namedtuple("ClipWindow", "xmin ymin xmax ymax")):
         return self
 
     _make = classmethod(_checked_make)
-
-    def bounds(self) -> tuple[float, float, float, float]:
-        return tuple(self)
-
-
-class ClipResult(namedtuple("ClipResult", "segment", defaults=(None,))):
-    """Outcome of clipping a segment: the retained part, or rejection."""
-
-    __slots__ = ()
-
-    @property
-    def accepted(self) -> bool:
-        return self.segment is not None
-
-
-REJECTED = ClipResult(None)
 
 
 def require_window_in_space(window: ClipWindow, space: ClipWindow) -> None:

@@ -55,7 +55,7 @@ from __future__ import annotations
 from collections import namedtuple
 from math import gcd, inf, lcm
 
-from .geom import Segment, _checked_make
+from .geom import _checked_make
 
 __all__ = ["ExactClipOutcome", "clip_exact"]
 
@@ -124,9 +124,9 @@ _ORIENT_TINY = 2.0**-900
 
 
 def _coords(obj, kind) -> tuple:
-    if type(obj) is tuple and len(obj) == 4:
-        return obj
-    vals = obj.coords() if isinstance(obj, Segment) else tuple(obj)
+    """``obj``'s four values as a plain tuple: a segment's x1, y1, x2, y2
+    or a window's xmin, ymin, xmax, ymax."""
+    vals = tuple(obj)
     if len(vals) != 4:
         raise ValueError(f"{kind} must provide exactly 4 coordinates")
     return vals
@@ -299,13 +299,13 @@ def _certified_plain_reject(x1, y1, x2, y2, xmin, ymin, xmax, ymax) -> bool:
 def clip_exact(seg, window) -> ExactClipOutcome:
     """Exact parametric clip of a segment against a window.
 
-    ``seg`` is a Segment or any 4-sequence (x1, y1, x2, y2); ``window``
-    is a ClipWindow, any 4-sequence (xmin, ymin, xmax, ymax), or a window
-    prepared once by ``_ExactWindow``.  Coordinates may be of any type
-    with an exact ``as_integer_ratio()``: float, int, Fraction or
-    Decimal.  A bad window raises ValueError, prepared or not.  A bad
-    segment raises ValueError, except that an infinite coordinate raises
-    OverflowError.
+    ``seg`` is any 4-sequence (x1, y1, x2, y2), such as a Segment;
+    ``window`` is a ClipWindow, any 4-sequence (xmin, ymin, xmax, ymax),
+    or a window prepared once by ``_ExactWindow``.  Coordinates may be
+    of any type with an exact ``as_integer_ratio()``: float, int,
+    Fraction or Decimal.  A bad window raises ValueError, prepared or
+    not.  A bad segment raises ValueError, except that an infinite
+    coordinate raises OverflowError.
     """
     x1, y1, x2, y2 = seg if type(seg) is tuple and len(seg) == 4 else _coords(seg, "segment")
     if type(window) is not _ExactWindow:

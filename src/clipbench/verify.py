@@ -59,7 +59,7 @@ def adversarial_segments(window: ClipWindow) -> list[tuple[float, float, float, 
     """Deterministic stress cases built from the window geometry:
     degenerate points, axis-parallel and boundary-collinear segments,
     corner-grazing diagonals, and exact boundary touches."""
-    x0, y0, x1, y1 = window.bounds()
+    x0, y0, x1, y1 = window
     w = x1 - x0
     h = y1 - y0
     cx = x0 + w / 2.0
@@ -184,7 +184,7 @@ def run_verification(
         kernel_map.update(kernels)
     checks = [AlgorithmCheck(a) for a in AlgorithmId]
 
-    x0, y0, x1, y1 = window.bounds()
+    x0, y0, x1, y1 = window
     exact_window = _ExactWindow((x0, y0, x1, y1))
     extent = max(x1 - x0, y1 - y0)
     pad = 1e-9 * max(1.0, extent)

@@ -71,7 +71,7 @@ def test_criterion_4_invariant_suite():
     n_random = 100_000
     buf, _ = _materialize(20260801, SPACE, n_random)
     cases = buf + adversarial_segments(WINDOW)
-    x0, y0, x1, y1 = WINDOW.bounds()
+    x0, y0, x1, y1 = WINDOW
     mx0, my0, mx1, my1 = x0, -y1, x1, -y0  # x-axis mirror of the window
     nx0, ny0, nx1, ny1 = -x1, y0, -x0, y1  # y-axis mirror of the window
     pad = 1e-9 * max(1.0, x1 - x0, y1 - y0)
@@ -154,10 +154,9 @@ def test_criterion_4_invariant_suite():
 def test_criterion_5_skala_mask_validation():
     witnesses = witness_segments(WINDOW)
     assert set(witnesses) == REALIZABLE_MASKS
-    bounds = WINDOW.bounds()
     for mask, seg in witnesses.items():
-        exact = clip_exact(seg, bounds)
-        got = skala_clip(*seg, *bounds)
+        exact = clip_exact(seg, WINDOW)
+        got = skala_clip(*seg, *WINDOW)
         if exact.grazing:
             continue
         if exact.accepted:

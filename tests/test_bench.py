@@ -65,7 +65,7 @@ def _splitmix_reference(seed, n):
     return out
 
 
-def test_gen_segment_matches_independent_mapping():
+def test_stream_matches_independent_mapping():
     # Recompute the first segment for seed 0 straight from an independent
     # generator and the documented mapping lo + (u / 2^64) * (hi - lo).
     us = _splitmix_reference(0, 4)
@@ -81,7 +81,7 @@ def test_gen_segment_matches_independent_mapping():
     assert buf == [expected]
 
 
-def test_gen_segment_coordinates_in_range():
+def test_stream_coordinates_in_range():
     buf, _ = _materialize(99, SPACE, 500)
     for x1, y1, x2, y2 in buf:
         for x, y in ((x1, y1), (x2, y2)):
@@ -89,7 +89,7 @@ def test_gen_segment_coordinates_in_range():
             assert SPACE.ymin <= y < SPACE.ymax
 
 
-def test_materialized_buffer_matches_gen_segment_stream():
+def test_continued_buffer_matches_the_whole_stream():
     # Chunking relies on this: a buffer continued from the returned state
     # is the next part of the same stream, and ends in the same state.
     head, mid_state = _materialize(7, SPACE, 30)
@@ -253,7 +253,7 @@ def test_equal_seed_equal_accepted_across_algorithms_and_oracle():
     exact_accepted = 0
     grazing = 0
     for seg in buf:
-        o = clip_exact(seg, WINDOW.bounds())
+        o = clip_exact(seg, WINDOW)
         exact_accepted += o.accepted
         grazing += o.grazing
     assert grazing == 0

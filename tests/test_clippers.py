@@ -21,8 +21,7 @@ SHARED_EXAMPLES = [
 
 
 def run(algo, seg_coords, window=W):
-    seg = Segment.of(*seg_coords)
-    return clip(algo, seg, window)
+    return clip(algo, Segment(*seg_coords), window)
 
 
 @pytest.mark.parametrize("algo", ALGOS, ids=lambda a: a.value)
@@ -30,33 +29,31 @@ def run(algo, seg_coords, window=W):
 def test_shared_examples(algo, seg, expected):
     result = run(algo, seg)
     if expected is None:
-        assert not result.accepted
+        assert result is None
     else:
-        assert result.accepted
-        got = result.segment.coords()
-        assert got == pytest.approx(expected, abs=1e-9)
+        assert result == pytest.approx(expected, abs=1e-9)
 
 
 def test_proposed_double_clamp_path():
     # x clamp lands at (-100, 100), the y clamp then pulls it to (-75, 75).
-    result = clip(AlgorithmId.PROPOSED, Segment.of(-200, 200, 0, 0), W)
-    assert result.segment.coords() == pytest.approx((-75, 75, 0, 0), abs=1e-9)
+    result = clip(AlgorithmId.PROPOSED, Segment(-200, 200, 0, 0), W)
+    assert result == pytest.approx((-75, 75, 0, 0), abs=1e-9)
 
 
 def test_proposed_vertical_line_never_divides():
-    result = clip(AlgorithmId.PROPOSED, Segment.of(0, -1000, 0, 1000), W)
-    assert result.segment.coords() == pytest.approx((0, -75, 0, 75), abs=1e-9)
+    result = clip(AlgorithmId.PROPOSED, Segment(0, -1000, 0, 1000), W)
+    assert result == pytest.approx((0, -75, 0, 75), abs=1e-9)
 
 
 def test_proposed_horizontal_line_never_divides():
-    result = clip(AlgorithmId.PROPOSED, Segment.of(-1000, 10, 1000, 10), W)
-    assert result.segment.coords() == pytest.approx((-100, 10, 100, 10), abs=1e-9)
+    result = clip(AlgorithmId.PROPOSED, Segment(-1000, 10, 1000, 10), W)
+    assert result == pytest.approx((-100, 10, 100, 10), abs=1e-9)
 
 
 def test_cohen_sutherland_trivial_reject_by_and():
     # Both endpoints lie left of and above the window: their region codes
     # share the LEFT and TOP bits, so the AND test rejects at once.
-    assert not clip(AlgorithmId.COHEN_SUTHERLAND, Segment.of(-150, 80, -150, 90), W).accepted
+    assert clip(AlgorithmId.COHEN_SUTHERLAND, Segment(-150, 80, -150, 90), W) is None
 
 
 def test_edge_table_shape():
@@ -76,20 +73,16 @@ def test_degenerate_point_convention(algo):
     inside = [(0, 0), (-100, -75), (100, -75), (100, 75), (-100, 75), (-100, 0), (0, 75)]
     outside = [(-100.5, 0), (0, 75.5), (300, 300), (-100.0001, -75.0001)]
     for x, y in inside:
-        result = run(algo, (x, y, x, y))
-        assert result.accepted
-        assert result.segment.coords() == (x, y, x, y)
+        assert run(algo, (x, y, x, y)) == (x, y, x, y)
     for x, y in outside:
-        assert not run(algo, (x, y, x, y)).accepted
+        assert run(algo, (x, y, x, y)) is None
 
 
 @pytest.mark.parametrize("algo", ALGOS, ids=lambda a: a.value)
 def test_corner_touching_segment_is_accepted(algo):
     # Enters exactly at the bottom-left corner and ends inside.
     result = run(algo, (-200, -175, 0, 25))
-    assert result.accepted
-    got = result.segment.coords()
-    assert got == pytest.approx((-100, -75, 0, 25), abs=1e-9)
+    assert result == pytest.approx((-100, -75, 0, 25), abs=1e-9)
 
 
 def test_skala_boundary_collinear_is_orientation_independent():
@@ -113,12 +106,23 @@ def test_skala_boundary_collinear_is_orientation_independent():
 
 
 def test_dispatch_covers_every_algorithm():
+    # clip is exactly the kernel: the same rejects, and every accept's
+    # fields are the kernel's result bit for bit.
     assert set(KERNELS) == set(AlgorithmId)
-    seg = Segment.of(-200, -200, 200, 200)
+    window = ClipWindow(-100.0, -75.0, 100.0, 75.0)
+    stream, _ = _materialize(1, ClipWindow(-960.0, -720.0, 960.0, 720.0), 2_000)
     for algo in AlgorithmId:
-        assert clip(algo, seg, W).segment.coords() == pytest.approx(
+        assert clip(algo, Segment(-200, -200, 200, 200), W) == pytest.approx(
             (-75, -75, 75, 75), abs=1e-9
         )
+        for s in stream + adversarial_segments(window):
+            want = KERNELS[algo](*s, *window)
+            got = clip(algo, Segment(*s), window)
+            if want is None:
+                assert got is None, (algo, s)
+            else:
+                assert type(got) is Segment, (algo, s)
+                assert [v.hex() for v in got] == [v.hex() for v in want], (algo, s)
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +208,7 @@ def _with_corner_lines(test):
 @_with_corner_lines
 @given(seg=segments, window=windows())
 def test_accepted_results_are_contained_collinear_ordered(algo, seg, window):
-    res = KERNELS[algo](*seg, *window.bounds())
+    res = KERNELS[algo](*seg, *window)
     if res is not None:
         _check_result(res, seg, window)
 
@@ -216,7 +220,7 @@ def test_accepted_results_are_contained_collinear_ordered(algo, seg, window):
 def test_reflection_equivariance(algo, seg, window):
     kernel = KERNELS[algo]
     x1, y1, x2, y2 = seg
-    res = kernel(*seg, *window.bounds())
+    res = kernel(*seg, *window)
     # Mirror across the x axis.
     mx = kernel(
         x1, -y1, x2, -y2, window.xmin, -window.ymax, window.xmax, -window.ymin

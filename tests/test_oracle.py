@@ -121,7 +121,7 @@ def test_float_corner_tangent_rejects(corner, shift):
 
 
 def test_accepts_segment_and_window_objects():
-    o = clip_exact(Segment.of(-200, -200, 200, 200), ClipWindow(*W))
+    o = clip_exact(Segment(-200, -200, 200, 200), ClipWindow(*W))
     assert o.accepted
     assert o.p1 == (Fraction(-75), Fraction(-75))
 
@@ -153,7 +153,7 @@ def test_window_forms_give_the_same_outcomes(bounds, form):
     assert got == [clip_exact(seg, bounds) for seg in SUITE]
 
 
-def test_more_windows_than_the_cache_holds():
+def test_many_windows_give_repeatable_outcomes():
     windows = [
         (Fraction(k, 3) - 100, -75, 100 + Fraction(k, 7), Fraction(75, k + 1))
         for k in range(37)

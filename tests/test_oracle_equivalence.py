@@ -54,8 +54,7 @@ def _row_wise_report(cases, seed, space, window, kernels):
     """Reference sweep: the oracle and then every kernel, case by case."""
     kernel_map = dict(KERNELS)
     kernel_map.update(kernels)
-    bounds = window.bounds()
-    x0, y0, x1, y1 = bounds
+    x0, y0, x1, y1 = window
     pad = 1e-9 * max(1.0, x1 - x0, y1 - y0)
     random_buf, _ = verify._materialize(seed, space, cases)
     suite = adversarial_segments(window)
@@ -64,10 +63,10 @@ def _row_wise_report(cases, seed, space, window, kernels):
     failures = {a: [] for a in AlgorithmId}
     random_grazing = 0
     for idx, seg in enumerate(random_buf + suite):
-        exact = clip_exact(seg, bounds)
+        exact = clip_exact(seg, window)
         random_grazing += exact.grazing and idx < cases
         for a in AlgorithmId:
-            res = kernel_map[a](*seg, *bounds)
+            res = kernel_map[a](*seg, *window)
             if exact.grazing:
                 if res is None or verify._grazing_accept_valid(
                         res, seg, x0, y0, x1, y1, pad, 1e-9):
@@ -133,7 +132,7 @@ def test_block_seams_keep_tallies_and_failure_order(cases, monkeypatch):
     # grazing center point, ends the first block.  Positions count from the
     # start of the whole stream, across however many calls generate it.
     generate = verify._materialize
-    corner = WINDOW.bounds()[:2] * 2
+    corner = WINDOW[:2] * 2
     offset = 0
 
     def with_grazing(state, space, count):
@@ -193,7 +192,7 @@ def test_sweep_calls_the_oracle_by_name_once_per_case(cases, monkeypatch):
     assert len(windows) == cases + len(adversarial_segments(WINDOW))
     assert type(windows[0]) is oracle._ExactWindow
     assert all(w is windows[0] for w in windows)
-    assert windows[0].bounds == WINDOW.bounds()
+    assert windows[0].bounds == WINDOW
     assert report.ok
 
 
@@ -204,8 +203,8 @@ def test_sweep_calls_the_oracle_by_name_once_per_case(cases, monkeypatch):
 # the line through the original endpoints.
 @pytest.mark.parametrize("shift", [0.0, 1e6])
 def test_seed_7_tallies_at_default_and_far_origin(shift):
-    space = ClipWindow(*(v + shift for v in SPACE.bounds()))
-    window = ClipWindow(*(v + shift for v in WINDOW.bounds()))
+    space = ClipWindow(*(v + shift for v in SPACE))
+    window = ClipWindow(*(v + shift for v in WINDOW))
     report = run_verification(5000, 7, space, window)
     assert report.random_grazing == 0
     assert {c.algorithm: (c.matches, c.grazing_exempt, c.mismatches) for c in report.checks} == {
@@ -232,13 +231,12 @@ def test_adversarial_suite_covers_the_stress_families():
 def test_pairwise_agreement_on_non_grazing_cases():
     buf, _ = _materialize(123, SPACE, 2000)
     cases = buf + adversarial_segments(WINDOW)
-    bounds = WINDOW.bounds()
     disagreements = []
     for seg in cases:
-        exact = clip_exact(seg, bounds)
+        exact = clip_exact(seg, WINDOW)
         if exact.grazing:
             continue
-        results = {a: KERNELS[a](*seg, *bounds) for a in AlgorithmId}
+        results = {a: KERNELS[a](*seg, *WINDOW) for a in AlgorithmId}
         flags = {r is not None for r in results.values()}
         if len(flags) != 1:
             disagreements.append((seg, results))
@@ -257,7 +255,7 @@ def test_pairwise_agreement_on_non_grazing_cases():
 # Corner-sign mask witnesses
 
 def _corner_mask(a, b, c, window):
-    x0, y0, x1, y1 = window.bounds()
+    x0, y0, x1, y1 = window
     mask = 0
     if a * x0 + b * y0 + c >= 0:
         mask |= 1
@@ -278,7 +276,7 @@ def _line_coeffs(seg):
 def witness_segments(window):
     """Long segments whose supporting lines realize every achievable
     corner-sign mask, keyed by the mask they produce."""
-    x0, y0, x1, y1 = window.bounds()
+    x0, y0, x1, y1 = window
     w = x1 - x0
     h = y1 - y0
     cx = x0 + w / 2
@@ -327,10 +325,9 @@ def test_witnesses_cover_all_realizable_masks():
 
 
 def test_skala_agrees_with_oracle_on_every_mask_witness():
-    bounds = WINDOW.bounds()
     for mask, seg in witness_segments(WINDOW).items():
-        exact = clip_exact(seg, bounds)
-        got = skala_clip(*seg, *bounds)
+        exact = clip_exact(seg, WINDOW)
+        got = skala_clip(*seg, *WINDOW)
         if exact.grazing:
             continue
         if exact.accepted:

@@ -13,11 +13,8 @@ PACKAGE_SURFACE = [
     "BenchConfig",
     "BenchInvariantError",
     "BenchReport",
-    "ClipResult",
     "ClipWindow",
     "ExactClipOutcome",
-    "Point2",
-    "REJECTED",
     "RunTiming",
     "Segment",
     "VerificationReport",
