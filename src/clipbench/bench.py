@@ -40,7 +40,6 @@ __all__ = [
     "RunTiming",
     "BenchReport",
     "run_bench",
-    "build_report",
     "mean_seconds",
     "speedup_percent",
     "render_report",
@@ -149,13 +148,19 @@ class BenchConfig(namedtuple(
 
     Defaults reproduce the reference protocol: segments drawn uniformly
     over a 1920x1440 space centered on a 200x150 window, one million
-    lines per run, ten recorded repetitions.
+    lines per run, ten recorded repetitions.  The space and window are
+    stored as ``ClipWindow``s, the algorithms as ``AlgorithmId``s.
     """
 
     __slots__ = ()
 
     def __new__(cls, *args, **kwargs) -> "BenchConfig":
-        self = super().__new__(cls, *args, **kwargs)
+        space, window, lines, reps, seed, algorithms = super().__new__(cls, *args, **kwargs)
+        self = super().__new__(cls, ClipWindow(*space), ClipWindow(*window), lines, reps, seed,
+                               tuple(AlgorithmId(a) for a in algorithms))
+        for name, value in (("lines_per_run", lines), ("repetitions", reps), ("seed", seed)):
+            if type(value) is not int:
+                raise ValueError(f"{name} must be an int, got {value!r}")
         if self.lines_per_run < 1:
             raise ValueError("lines_per_run must be >= 1")
         if self.repetitions < 1:
@@ -177,8 +182,57 @@ class RunTiming(namedtuple("RunTiming", "algorithm run_index seconds accepted_co
     __slots__ = ()
 
 
-class BenchReport(namedtuple("BenchReport", "config timings averages speedups_vs_proposed")):
+class BenchInvariantError(RuntimeError):
+    """A bench run broke an invariant its report promises."""
+
+
+class BenchReport(namedtuple("BenchReport", "config timings")):
+    """One bench run's timings under its config.  However it is built, a
+    report holds one timing per (algorithm, repetition) of the config, in
+    any order, or raises ValueError; every timing accepts the same count and
+    each algorithm keeps one checksum, or it raises BenchInvariantError."""
+
     __slots__ = ()
+
+    def __new__(cls, config: BenchConfig, timings) -> "BenchReport":
+        self = super().__new__(cls, config, tuple(timings))
+        timings = self.timings
+        runs = {(algo, rep) for algo in config.algorithms for rep in range(1, config.repetitions + 1)}
+        if len(timings) != len(runs) or {(t.algorithm, t.run_index) for t in timings} != runs:
+            raise ValueError(f"expected one timing per algorithm and repetition, {len(runs)} in all")
+        first_rep = {}
+        for t in timings:
+            ref = first_rep.setdefault(t.algorithm, t)
+            if t.accepted_count != timings[0].accepted_count:
+                raise BenchInvariantError(
+                    f"{t.algorithm.value} rep {t.run_index} accepted {t.accepted_count} segments, "
+                    f"{timings[0].algorithm.value} accepted {timings[0].accepted_count}"
+                )
+            if t.checksum != ref.checksum:
+                raise BenchInvariantError(
+                    f"{t.algorithm.value} rep {t.run_index} checksum {t.checksum:016x} "
+                    f"differs from rep {ref.run_index} checksum {ref.checksum:016x}"
+                )
+        return self
+
+    _make = classmethod(_checked_make)
+
+    @property
+    def averages(self) -> dict[str, float]:
+        """Each algorithm's mean seconds, keyed by its report spelling."""
+        return {
+            algo.value: mean_seconds(t.seconds for t in self.timings if t.algorithm is algo)
+            for algo in self.config.algorithms
+        }
+
+    @property
+    def speedups_vs_proposed(self) -> dict[str, float]:
+        """Each other algorithm's ``speedup_percent``; empty without Proposed."""
+        averages = self.averages
+        if AlgorithmId.PROPOSED.value not in averages:
+            return {}
+        ref = averages.pop(AlgorithmId.PROPOSED.value)
+        return {name: speedup_percent(ref, avg) for name, avg in averages.items()}
 
 
 _PACK_INDEX = struct.Struct("<Q")
@@ -236,41 +290,17 @@ def speedup_percent(proposed_avg: float, other_avg: float) -> float:
     return abs(other_avg - proposed_avg) / proposed_avg * 100.0
 
 
-def build_report(config: BenchConfig, timings) -> BenchReport:
-    timings = tuple(timings)
-    expected = len(config.algorithms) * config.repetitions
-    if len(timings) != expected:
-        raise ValueError(f"expected {expected} timings, got {len(timings)}")
-    averages = {
-        algo.value: mean_seconds(t.seconds for t in timings if t.algorithm is algo)
-        for algo in config.algorithms
-    }
-    speedups: dict[str, float] = {}
-    if AlgorithmId.PROPOSED in config.algorithms:
-        ref = averages[AlgorithmId.PROPOSED.value]
-        speedups = {
-            algo.value: speedup_percent(ref, averages[algo.value])
-            for algo in config.algorithms
-            if algo is not AlgorithmId.PROPOSED
-        }
-    return BenchReport(config, timings, averages, speedups)
-
-
-class BenchInvariantError(RuntimeError):
-    """A bench run broke an invariant its report promises."""
-
-
 def run_bench(config: BenchConfig) -> BenchReport:
-    """Run the timed protocol and check the invariants the report promises.
+    """Run the timed protocol and return its report.
 
     Each chunk of the stream is materialized once, then clipped by every
     repetition and, within a repetition, by every algorithm.  Repetition
     0 is the warm-up: it clips only the chunk's first ``_WARMUP``
     segments and is neither timed nor folded.  Each (algorithm,
-    repetition) timer and checksum accumulates across chunks.  Raises
-    BenchInvariantError when the algorithms disagree on the accepted
-    count or when one algorithm's accepted count or checksum differs
-    between repetitions.
+    repetition) timer and checksum accumulates across chunks.  Building
+    the report raises BenchInvariantError when the algorithms disagree
+    on the accepted count or when one algorithm's accepted count or
+    checksum differs between repetitions.
     """
     wx0, wy0, wx1, wy1 = config.window
     kernels = [(algo, KERNELS[algo]) for algo in config.algorithms]
@@ -301,24 +331,10 @@ def run_bench(config: BenchConfig) -> BenchReport:
                 # release of this pass's list and accepted tuples.
                 del results
 
-    timings = []
-    for algo, rep in runs:
-        fold = folds[algo, rep]
-        timings.append(RunTiming(algo, rep, elapsed[algo, rep], fold.accepted, fold.digest()))
-    first_rep = {}
-    for t in timings:
-        ref = first_rep.setdefault(t.algorithm, t)
-        if t.accepted_count != timings[0].accepted_count:
-            raise BenchInvariantError(
-                f"{t.algorithm.value} rep {t.run_index} accepted {t.accepted_count} segments, "
-                f"{timings[0].algorithm.value} accepted {timings[0].accepted_count}"
-            )
-        if t.checksum != ref.checksum:
-            raise BenchInvariantError(
-                f"{t.algorithm.value} rep {t.run_index} checksum {t.checksum:016x} "
-                f"differs from rep {ref.run_index} checksum {ref.checksum:016x}"
-            )
-    return build_report(config, timings)
+    return BenchReport(config, [
+        RunTiming(algo, rep, elapsed[algo, rep], folds[algo, rep].accepted, folds[algo, rep].digest())
+        for algo, rep in runs
+    ])
 
 
 # ---------------------------------------------------------------------------
@@ -377,13 +393,11 @@ def _render_markdown(report: BenchReport) -> str:
     for run in range(1, cfg.repetitions + 1):
         cells = [_fmt_seconds(by_algo_run[(a, run)].seconds) for a in algos]
         out.append(f"| {run} | " + " | ".join(cells) + " |")
-    avg_cells = [_fmt_seconds(report.averages[n]) for n in names]
-    out.append("| Avg | " + " | ".join(avg_cells) + " |")
-    if report.speedups_vs_proposed:
-        speed_cells = [
-            f"{report.speedups_vs_proposed[n]:.2f}" if n in report.speedups_vs_proposed else "-"
-            for n in names
-        ]
+    averages = report.averages
+    out.append("| Avg | " + " | ".join(_fmt_seconds(averages[n]) for n in names) + " |")
+    speedups = report.speedups_vs_proposed
+    if speedups:
+        speed_cells = [f"{speedups[n]:.2f}" if n in speedups else "-" for n in names]
         out.append("| Speedup vs Proposed (%) | " + " | ".join(speed_cells) + " |")
     out.append("")
     out.append("| Algorithm | Accepted | Checksum |")
@@ -398,14 +412,7 @@ def _render_markdown(report: BenchReport) -> str:
 def _render_json(report: BenchReport) -> str:
     cfg = report.config
     doc = {
-        "config": {
-            "space": list(cfg.space),
-            "window": list(cfg.window),
-            "lines_per_run": cfg.lines_per_run,
-            "repetitions": cfg.repetitions,
-            "seed": cfg.seed,
-            "algorithms": [a.value for a in cfg.algorithms],
-        },
+        "config": dict(cfg._asdict(), algorithms=[a.value for a in cfg.algorithms]),
         "timings": [
             {
                 "algorithm": t.algorithm.value,
@@ -424,25 +431,13 @@ def _render_json(report: BenchReport) -> str:
 
 def parse_report(text: str) -> BenchReport:
     """Inverse of the json rendering; parse(render(r)) == r.  Only the
-    config and timings are read; averages and speedups are derived again."""
+    config and timings are read, and the report is built from them as
+    ``run_bench`` builds it: a config key that is missing raises
+    KeyError, and timings that break what a report promises raise
+    ValueError or BenchInvariantError."""
     doc = json.loads(text)
     c = doc["config"]
-    config = BenchConfig(
-        space=ClipWindow(*c["space"]),
-        window=ClipWindow(*c["window"]),
-        lines_per_run=c["lines_per_run"],
-        repetitions=c["repetitions"],
-        seed=c["seed"],
-        algorithms=tuple(AlgorithmId(v) for v in c["algorithms"]),
-    )
-    timings = tuple(
-        RunTiming(
-            AlgorithmId(t["algorithm"]),
-            t["run"],
-            t["seconds"],
-            t["accepted"],
-            t["checksum"],
-        )
+    return BenchReport(BenchConfig(*(c[f] for f in BenchConfig._fields)), [
+        RunTiming(AlgorithmId(t["algorithm"]), t["run"], t["seconds"], t["accepted"], t["checksum"])
         for t in doc["timings"]
-    )
-    return build_report(config, timings)
+    ])

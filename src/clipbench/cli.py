@@ -137,8 +137,8 @@ def _cmd_clip(args) -> int:
 
 def _cmd_bench(args) -> int:
     config = BenchConfig(
-        space=ClipWindow(*args.space),
-        window=ClipWindow(*args.window),
+        space=args.space,
+        window=args.window,
         lines_per_run=args.lines,
         repetitions=args.reps,
         seed=args.seed,

@@ -1,3 +1,4 @@
+import json
 import pickle
 
 import pytest
@@ -5,8 +6,9 @@ from hypothesis import given, strategies as st
 
 from clipbench.bench import (
     BenchConfig,
+    BenchInvariantError,
+    BenchReport,
     RunTiming,
-    build_report,
     mean_seconds,
     parse_report,
     render_report,
@@ -199,6 +201,11 @@ def test_config_rejects_bad_seed_and_duplicates():
     ("seed", 2**64),
     ("algorithms", ()),
     ("algorithms", (AlgorithmId.KWC, AlgorithmId.KWC)),
+    ("lines_per_run", 5.5),
+    ("repetitions", 2.0),
+    ("seed", 1.0),
+    ("repetitions", True),
+    ("algorithms", ("cs",)),
 ])
 def test_config_rejects_bad_fields_on_every_construction_path(name, bad, path):
     good = BenchConfig()
@@ -221,6 +228,15 @@ def test_config_and_report_pickle_and_are_immutable():
         with pytest.raises(AttributeError):
             setattr(value, value._fields[0], None)
     assert BenchConfig() == (SPACE, WINDOW, 1_000_000, 10, 1, tuple(AlgorithmId))
+
+
+def test_config_stores_windows_and_algorithm_ids_however_given():
+    cfg = BenchConfig(space=list(SPACE), window=tuple(WINDOW),
+                      algorithms=["CS", AlgorithmId.PROPOSED])
+    assert type(cfg.space) is ClipWindow and type(cfg.window) is ClipWindow
+    assert cfg.algorithms == (AlgorithmId.COHEN_SUTHERLAND, AlgorithmId.PROPOSED)
+    assert cfg == BenchConfig(algorithms=(AlgorithmId.COHEN_SUTHERLAND, AlgorithmId.PROPOSED))
+    assert cfg._replace(algorithms=["KWC"]).algorithms == (AlgorithmId.KWC,)
 
 
 # ---------------------------------------------------------------------------
@@ -436,7 +452,7 @@ def _injected_report(runs, lines):
     for algo in algos:
         for i, sec in enumerate(runs[algo.value], start=1):
             timings.append(RunTiming(algo, i, sec, 0, 0))
-    return build_report(cfg, timings)
+    return BenchReport(cfg, timings)
 
 
 def test_csv_header_and_shape():
@@ -453,6 +469,70 @@ def test_json_round_trip():
     text = render_report(report, "json")
     back = parse_report(text)
     assert back == report
+
+
+def test_report_is_config_and_timings_and_round_trips_a_list_config():
+    cfg = BenchConfig(lines_per_run=25, repetitions=2, seed=8, algorithms=[AlgorithmId.CYRUS_BECK])
+    report = run_bench(cfg)
+    back = parse_report(render_report(report, "json"))
+    assert BenchReport._fields == ("config", "timings")
+    assert back == report and hash(back) == hash(report)
+
+
+@pytest.fixture(scope="module")
+def report_json():
+    cfg = BenchConfig(lines_per_run=25, repetitions=2, seed=8,
+                      algorithms=(AlgorithmId.COHEN_SUTHERLAND, AlgorithmId.PROPOSED))
+    return render_report(run_bench(cfg), "json")
+
+
+def _edited(text, edit):
+    doc = json.loads(text)
+    rows = {(t["algorithm"], t["run"]): t for t in doc["timings"]}
+    edit(doc, rows)
+    return json.dumps(doc)
+
+
+def _set(row, key, value):
+    row[key] = value
+
+
+@pytest.mark.parametrize("error, edit", [
+    (ValueError, lambda doc, rows: rows["CS", 2].update(rows["CS", 1])),
+    (ValueError, lambda doc, rows: doc["timings"].append(dict(rows["CS", 1]))),
+    (ValueError, lambda doc, rows: doc["timings"].remove(rows["CS", 2])),
+    (ValueError, lambda doc, rows: _set(rows["CS", 2], "algorithm", "LB")),
+    (ValueError, lambda doc, rows: _set(rows["Proposed", 2], "run", 7)),
+    (ValueError, lambda doc, rows: _set(doc["config"], "algorithms", ["cs", "Proposed"])),
+    (BenchInvariantError, lambda doc, rows: _set(rows["Proposed", 1], "accepted", 0)),
+    (BenchInvariantError, lambda doc, rows: _set(rows["CS", 2], "checksum", 1)),
+    (KeyError, lambda doc, rows: doc["config"].pop("seed")),
+], ids=["duplicate-run", "extra-run", "missing-run", "foreign-algorithm", "run-7-of-2",
+        "lowercase-algorithm", "accepted-count", "checksum", "missing-config-key"])
+def test_parse_report_rejects_an_edited_report(report_json, error, edit):
+    with pytest.raises(error):
+        parse_report(_edited(report_json, edit))
+
+
+def test_parse_report_ignores_extra_keys_and_derived_values(report_json):
+    def edit(doc, rows):
+        doc["config"]["note"] = "extra"
+        doc["averages"] = doc["speedups_vs_proposed"] = {}
+
+    report = parse_report(_edited(report_json, edit))
+    assert report == parse_report(report_json)
+    assert set(report.averages) == {"CS", "Proposed"} and set(report.speedups_vs_proposed) == {"CS"}
+
+
+def test_report_checks_hold_on_every_construction_path(report_json):
+    report = parse_report(report_json)
+    short = report.timings[:-1]
+    drifted = report.timings[:-1] + (report.timings[-1]._replace(checksum=1),)
+    for timings, error in ((short, ValueError), (drifted, BenchInvariantError)):
+        for build in (BenchReport, lambda c, t: BenchReport._make((c, t)),
+                      lambda c, t: report._replace(timings=t)):
+            with pytest.raises(error):
+                build(report.config, timings)
 
 
 def test_markdown_reproduces_reference_average_row():

@@ -2,8 +2,10 @@
 
 Every exported name is used by a clipper, the bench or verify harness,
 the CLI or the documented library entry points.  A new export has to be
-added here on purpose.
+added here on purpose.  The README's library example runs as written.
 """
+
+import pathlib
 
 import clipbench
 import clipbench.clippers
@@ -42,3 +44,13 @@ def test_clippers_surface_is_pinned():
     assert sorted(clipbench.clippers.__all__) == CLIPPERS_SURFACE
     for name in CLIPPERS_SURFACE:
         assert hasattr(clipbench.clippers, name), name
+
+
+def test_readme_library_example_returns_floats():
+    readme = (pathlib.Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    library = readme[readme.index("## Library"):]
+    block = library[library.index("```python\n") + len("```python\n"):]
+    namespace = {}
+    exec(block[:block.index("```")], namespace)
+    result = namespace["result"]
+    assert [type(v) for v in result] == [float] * 4, result
