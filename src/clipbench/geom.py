@@ -67,12 +67,31 @@ class ClipWindow(namedtuple("ClipWindow", "xmin ymin xmax ymax")):
     _make = classmethod(_checked_make)
 
 
+# The kernels' common exact domain.  CS, NLN, Skala and KWC multiply two
+# coordinate differences before they divide.  With the space's width and
+# height at most 2^511, a sum of two such products stays below 2^1024 and
+# cannot overflow.  Scaled by 2^-515, the default 200 x 150 window
+# (height 2^-507.8) is the first at which a kernel's results stop scaling
+# exactly, as products underflow; a window at least 2^-500 wide and high
+# keeps a margin of about 2^8 above that.
+_SPACE_EXTENT_MAX = 2.0**511
+_WINDOW_EXTENT_MIN = 2.0**-500
+
+
 def require_window_in_space(window: ClipWindow, space: ClipWindow) -> None:
     """Raise ValueError unless the clip window lies inside the generation
-    space (boundary-inclusive) and the space's width and height are
-    finite doubles, as the stream's coordinate mapping needs."""
+    space (boundary-inclusive), the space's width and height are finite
+    doubles, as the stream's coordinate mapping needs, and both lie in
+    the kernels' exact domain: the space at most 2^511 wide and high, the
+    window at least 2^-500."""
     w, s = window, space
     if not (math.isfinite(s.xmax - s.xmin) and math.isfinite(s.ymax - s.ymin)):
         raise ValueError("generation space width and height must be finite")
+    if max(s.xmax - s.xmin, s.ymax - s.ymin) > _SPACE_EXTENT_MAX:
+        raise ValueError(
+            "generation space width and height must be at most 2**511, the kernels' exact domain")
+    if min(w.xmax - w.xmin, w.ymax - w.ymin) < _WINDOW_EXTENT_MIN:
+        raise ValueError(
+            "window width and height must be at least 2**-500, the kernels' exact domain")
     if not (s.xmin <= w.xmin and w.xmax <= s.xmax and s.ymin <= w.ymin and w.ymax <= s.ymax):
         raise ValueError("window must be contained in the generation space")

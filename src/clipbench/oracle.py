@@ -40,6 +40,12 @@ test, but its comparisons are exact and it uses a float sign only when
 certified, not rounded, so it has no rounding error to share with any
 clipper.
 
+The integer path is one route: the interval, the single-point test when
+it is empty, and one grazing expression.  A point segment's interval is
+[0, 1] inside the closed window and empty outside it, and an interval
+from t = 0 or to t = 1 already puts that endpoint in the closed window,
+so neither needs a branch of its own.
+
 An accept keeps its endpoints as integers: two numerators over one
 positive denominator per endpoint, divided by their common gcd.  ``p1``
 and ``p2`` build reduced ``Fraction`` pairs from them when read, and
@@ -191,12 +197,6 @@ def _interval_ints(X1, Y1, DX, DY, XMIN, YMIN, XMAX, YMAX):
     return t0n, t0d, t1n, t1d
 
 
-def _on_boundary(X, Y, XMIN, YMIN, XMAX, YMAX) -> bool:
-    if not (XMIN <= X <= XMAX and YMIN <= Y <= YMAX):
-        return False
-    return X == XMIN or X == XMAX or Y == YMIN or Y == YMAX
-
-
 def _line_touches_single_point(X1, Y1, DX, DY, XMIN, YMIN, XMAX, YMAX) -> bool:
     # A line touches the closed rectangle in exactly one point iff it
     # passes through exactly one corner with the other three corners
@@ -334,12 +334,6 @@ def clip_exact(seg, window) -> ExactClipOutcome:
 
     DX = X2 - X1
     DY = Y2 - Y1
-    if DX == 0 and DY == 0:
-        # Point segment: a single-point result whenever it is inside.
-        if XMIN <= X1 <= XMAX and YMIN <= Y1 <= YMAX:
-            return ExactClipOutcome(True, True, (X1, Y1, L, X1, Y1, L))
-        return _REJECT
-
     iv = _interval_ints(X1, Y1, DX, DY, XMIN, YMIN, XMAX, YMAX)
     if iv is None:
         if _line_touches_single_point(X1, Y1, DX, DY, XMIN, YMIN, XMAX, YMAX):
@@ -349,10 +343,10 @@ def clip_exact(seg, window) -> ExactClipOutcome:
     t0n, t0d, t1n, t1d = iv
     grazing = (
         t0n * t1d == t1n * t0d
-        or (DX == 0 and (X1 == XMIN or X1 == XMAX))
+        or (DX == 0 and (DY == 0 or X1 == XMIN or X1 == XMAX))
         or (DY == 0 and (Y1 == YMIN or Y1 == YMAX))
-        or (t0n == 0 and _on_boundary(X1, Y1, XMIN, YMIN, XMAX, YMAX))
-        or (t1n == t1d and _on_boundary(X2, Y2, XMIN, YMIN, XMAX, YMAX))
+        or (t0n == 0 and (X1 == XMIN or X1 == XMAX or Y1 == YMIN or Y1 == YMAX))
+        or (t1n == t1d and (X2 == XMIN or X2 == XMAX or Y2 == YMIN or Y2 == YMAX))
     )
     return ExactClipOutcome(True, grazing, (
         X1 * t0d + t0n * DX, Y1 * t0d + t0n * DY, t0d * L,

@@ -1,4 +1,5 @@
 import errno
+import math
 import os
 import re
 import threading
@@ -304,6 +305,65 @@ def test_space_wider_than_a_double_exits_2(capsys):
         )
         assert (code, out) == (2, ""), command
         assert err == "error: generation space width and height must be finite\n", command
+
+
+_SPACE = (-960.0, -720.0, 960.0, 720.0)
+_WINDOW = (-100.0, -75.0, 100.0, 75.0)
+
+
+def _moved_bounds(k, shift=0.0):
+    """--space and --window at the defaults plus ``shift``, times 2^k."""
+    return [
+        arg
+        for flag, bounds in (("--space", _SPACE), ("--window", _WINDOW))
+        for arg in (flag, *(repr(math.ldexp(v + shift, k)) for v in bounds))
+    ]
+
+
+@pytest.mark.parametrize("k, message", [
+    (600, "generation space width and height must be at most 2**511, the kernels' exact domain"),
+    (-600, "window width and height must be at least 2**-500, the kernels' exact domain"),
+], ids=["2^600", "2^-600"])
+def test_scale_outside_the_exact_domain_exits_2(capsys, k, message):
+    # Out there products of coordinate differences overflow or underflow:
+    # bench would stop on a broken invariant, verify would report
+    # mismatches that come from the range, not from clipping.
+    for command, size in (("bench", "--lines"), ("verify", "--cases")):
+        code, out, err = run_cli(capsys, command, size, "10", *_moved_bounds(k))
+        assert (code, out) == (2, ""), command
+        assert err == f"error: {message}\n", command
+
+
+@pytest.mark.parametrize("k, shift, tolerance", [
+    (500, 0.0, math.ldexp(1e-9, 500)),
+    (-500, 0.0, math.ldexp(1e-9, -500)),
+    (0, 1e6, 1e-9),
+    # One ULP at 1e8 is about 1.5e-8, more than the default tolerance.
+    (0, 1e8, 1e-6),
+], ids=["2^500", "2^-500", "shift-1e6", "shift-1e8"])
+def test_scales_and_origins_inside_the_exact_domain_run(capsys, k, shift, tolerance):
+    def accepted(*bounds):
+        code, out, err = run_cli(
+            capsys, "bench", "--lines", "300", "--reps", "1", "--format", "csv", *bounds)
+        assert (code, err) == (0, "")
+        return [line.split(",")[3] for line in out.split()[1:]]
+
+    def sweep(tol, *bounds):
+        code, out, err = run_cli(
+            capsys, "verify", "--cases", "300", "--seed", "2", "--tolerance", repr(tol), *bounds)
+        assert (code, err) == (0, "")
+        return out
+
+    moved = _moved_bounds(k, shift)
+    if shift:
+        assert len(accepted(*moved)) == 7
+        rows = [VERIFY_LINE.match(line) for line in sweep(tolerance, *moved).split("\n")]
+        assert [m.group(1) for m in rows if m] == ["0"] * 7
+    else:
+        # Scaling by 2^k is exact inside the domain: the same accepts, the
+        # same tallies.
+        assert accepted(*moved) == accepted()
+        assert sweep(tolerance, *moved) == sweep(1e-9)
 
 
 def test_bench_broken_invariant_exits_1_without_traceback(capsys, monkeypatch):

@@ -17,6 +17,21 @@ def test_window_in_space_is_boundary_inclusive():
         require_window_in_space(ClipWindow(-100, -75, 100, 75.5), W)
 
 
+def test_window_and_space_extents_bound_the_exact_domain():
+    # Width and height each: the space at most 2^511, the window at least 2^-500.
+    big, small = 2.0**511, 2.0**-500
+    for space in (ClipWindow(0, 0, big, 1), ClipWindow(0, 0, 1, big)):
+        require_window_in_space(ClipWindow(0, 0, 1, 1), space)
+        wider = ClipWindow(*space[:2], *(math.nextafter(v, math.inf) for v in space[2:]))
+        with pytest.raises(ValueError, match=r"at most 2\*\*511, the kernels' exact domain"):
+            require_window_in_space(ClipWindow(0, 0, 1, 1), wider)
+    for window in (ClipWindow(0, 0, small, 1), ClipWindow(0, 0, 1, small)):
+        require_window_in_space(window, W)
+        narrower = ClipWindow(*window[:2], *(math.nextafter(v, 0) for v in window[2:]))
+        with pytest.raises(ValueError, match=r"at least 2\*\*-500, the kernels' exact domain"):
+            require_window_in_space(narrower, W)
+
+
 def test_segment_rejects_non_finite():
     for bad in (math.nan, math.inf, -math.inf):
         for i in range(4):

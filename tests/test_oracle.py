@@ -41,10 +41,37 @@ def test_segment_on_top_boundary_edge():
     assert o.p2 == (Fraction(100), Fraction(75))
 
 
-def test_degenerate_point_is_grazing():
-    o = clip_exact((5, 5, 5, 5), W)
-    assert o.accepted and o.grazing
-    assert o.p1 == o.p2 == (Fraction(5), Fraction(5))
+# Points on and 1 ULP either side of each side of WF: the centre, the
+# corners, the edge midpoints, then (inside, outside) pairs per side.
+_POINTS = [
+    (0.0, 0.0),
+    (-100.0, -75.0), (100.0, -75.0), (100.0, 75.0), (-100.0, 75.0),
+    (0.0, -75.0), (100.0, 0.0), (0.0, 75.0), (-100.0, 0.0),
+    (math.nextafter(-100.0, 0.0), 0.0), (math.nextafter(-100.0, -math.inf), 0.0),
+    (math.nextafter(100.0, 0.0), 0.0), (math.nextafter(100.0, math.inf), 0.0),
+    (0.0, math.nextafter(-75.0, 0.0)), (0.0, math.nextafter(-75.0, -math.inf)),
+    (0.0, math.nextafter(75.0, 0.0)), (0.0, math.nextafter(75.0, math.inf)),
+]
+
+
+@pytest.mark.parametrize("exact", [False, True], ids=["float", "Fraction"])
+@pytest.mark.parametrize("point", _POINTS, ids=[
+    "centre", "corner-ll", "corner-lr", "corner-ur", "corner-ul",
+    "mid-bottom", "mid-right", "mid-top", "mid-left",
+    "left-in", "left-out", "right-in", "right-out",
+    "bottom-in", "bottom-out", "top-in", "top-out",
+])
+def test_degenerate_point_is_grazing(point, exact):
+    # A point takes the interval route: [0, 1] inside the closed window,
+    # empty outside, and its four zero corner orientations touch nothing.
+    conv = Fraction if exact else float
+    x, y = map(conv, point)
+    o = clip_exact((x, y, x, y), tuple(map(conv, WF)))
+    if -100 <= x <= 100 and -75 <= y <= 75:
+        assert o.accepted and o.grazing
+        assert o.p1 == o.p2 == (Fraction(x), Fraction(y))
+    else:
+        assert o == (False, False, None)
 
 
 def test_corner_tangent_line_flags_grazing_on_reject():
@@ -57,11 +84,34 @@ def test_corner_tangent_line_flags_grazing_on_reject():
     assert o2.p1 == o2.p2 == (Fraction(-100), Fraction(75))
 
 
-def test_endpoint_on_boundary_is_grazing():
-    o = clip_exact((0, 0, 100, 0), W)
-    assert o.accepted and o.grazing
-    assert o.p1 == (Fraction(0), Fraction(0))
-    assert o.p2 == (Fraction(100), Fraction(0))
+@pytest.mark.parametrize("first", [True, False], ids=["p1", "p2"])
+@pytest.mark.parametrize("end, grazing", [
+    ((-100.0, 10.0), True),
+    ((100.0, 10.0), True),
+    ((10.0, -75.0), True),
+    ((10.0, 75.0), True),
+    # On the horizontal line y = 0, which is no edge line.
+    ((100.0, 0.0), True),
+    ((-60.0, 40.0), False),
+    ((math.nextafter(-100.0, 0.0), 10.0), False),
+], ids=["left", "right", "bottom", "top", "right-on-y0", "interior", "left-in"])
+def test_endpoint_on_boundary_is_grazing(end, grazing, first):
+    # The other endpoint is inside, so the clip is the whole segment.
+    other = (0.0, 0.0) if end[1] == 0.0 else (20.0, 30.0)
+    seg = (*end, *other) if first else (*other, *end)
+    o = clip_exact(seg, WF)
+    assert o.accepted and o.grazing is grazing
+    assert (*o.p1, *o.p2) == tuple(map(Fraction, seg))
+
+
+@pytest.mark.parametrize("first", [True, False], ids=["p1", "p2"])
+@pytest.mark.parametrize("end", [(-100.0, 200.0), (300.0, 75.0)], ids=["left-line", "top-line"])
+def test_endpoint_on_an_edge_line_outside_the_window_is_not_grazing(end, first):
+    # The clip starts or ends strictly inside the segment, so the
+    # endpoint's edge equality must not count.
+    seg = (*end, 20.0, 30.0) if first else (20.0, 30.0, *end)
+    o = clip_exact(seg, WF)
+    assert o.accepted and not o.grazing
 
 
 def test_invalid_window_raises():

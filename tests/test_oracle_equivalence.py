@@ -2,13 +2,15 @@
 on a seeded random stream plus the adversarial suite, including pairwise
 agreement and the corner-mask witness validation."""
 
+import math
+
 import pytest
 
 from clipbench import bench, oracle, verify
 from clipbench.bench import _materialize
 from clipbench.clippers import EDGE_TABLE, KERNELS, AlgorithmId
 from clipbench.clippers.skala import clip_coords as skala_clip
-from clipbench.geom import ClipWindow
+from clipbench.geom import ClipWindow, require_window_in_space
 from clipbench.oracle import clip_exact
 from clipbench.verify import (
     AlgorithmCheck,
@@ -210,6 +212,43 @@ def test_seed_7_tallies_at_default_and_far_origin(shift):
     assert {c.algorithm: (c.matches, c.grazing_exempt, c.mismatches) for c in report.checks} == {
         a: (5022, 33, 0) for a in AlgorithmId
     }
+
+
+# Space, window and stream moved to (c + shift) * scale.  Every kernel
+# agrees with the oracle on the outcome of every non-grazing case, and
+# its accepted endpoints lie within 64 window ULPs (ULPs of the largest
+# window bound) of the doubles nearest the exact clip.  At seed 1 each
+# kernel's worst is 13-18 window ULPs at shift 0, where the space's
+# coordinates are ten times the window's; at the other shifts CS reaches
+# 15 and every other kernel 1.  So the far-origin CS mismatches of an
+# absolute 1e-9 tolerance are endpoint errors, not flips.
+@pytest.mark.parametrize("shift", [0.0, 1e4, 1e6, 1e8])
+def test_no_outcome_flips_and_endpoints_within_64_window_ulps(shift):
+    base, _ = _materialize(1, SPACE, 2000)
+    flips = []
+    worst = dict.fromkeys(AlgorithmId, 0.0)
+    for scale in (2.0**-500, 1e-6, 1.0, 1e6, 2.0**500):
+        def move(coords):
+            return tuple((c + shift) * scale for c in coords)
+
+        space, window = ClipWindow(*move(SPACE)), ClipWindow(*move(WINDOW))
+        require_window_in_space(window, space)
+        ulp = math.ulp(max(map(abs, window)))
+        exact_window = oracle._ExactWindow(window)
+        for seg in [move(s) for s in base] + adversarial_segments(window):
+            exact = clip_exact(seg, exact_window)
+            if exact.grazing:
+                continue
+            ends = exact._float_ends() if exact.accepted else None
+            for algo, kernel in KERNELS.items():
+                res = kernel(*seg, *window)
+                if (res is None) != (ends is None):
+                    flips.append((algo.value, scale, seg))
+                elif res is not None:
+                    err = max(abs(r - e) for r, e in zip(res, ends)) / ulp
+                    worst[algo] = max(worst[algo], err)
+    assert flips == []
+    assert max(worst.values()) <= 64, worst
 
 
 def test_adversarial_suite_covers_the_stress_families():
