@@ -18,7 +18,6 @@ import sys
 
 from .bench import BenchConfig, BenchInvariantError, render_report, run_bench
 from .clippers import AlgorithmId, clip
-from .geom import ClipWindow, Segment
 from .verify import run_verification
 
 __all__ = ["main", "run", "format_double"]
@@ -126,8 +125,7 @@ def _make_parser() -> argparse.ArgumentParser:
 
 def _cmd_clip(args) -> int:
     algorithm = _parse_algorithm(args.algorithm)
-    window = ClipWindow(*args.window)
-    result = clip(algorithm, Segment(*args.seg), window)
+    result = clip(algorithm, args.seg, args.window)
     if result is None:
         print("REJECT")
     else:
@@ -165,8 +163,8 @@ def _cmd_verify(args) -> int:
     report = run_verification(
         cases=args.cases,
         seed=args.seed,
-        space=ClipWindow(*args.space),
-        window=ClipWindow(*args.window),
+        space=args.space,
+        window=args.window,
         tolerance=args.tolerance,
     )
     for check in report.checks:

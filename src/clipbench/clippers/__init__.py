@@ -17,7 +17,7 @@ from __future__ import annotations
 import enum
 from collections.abc import Callable
 
-from ..geom import ClipWindow, Segment
+from ..geom import ClipWindow, Segment, require_window_in_space
 from . import (
     cohen_sutherland,
     cyrus_beck,
@@ -58,6 +58,17 @@ KERNELS: dict[AlgorithmId, Callable[..., tuple | None]] = {
 
 def clip(algorithm: AlgorithmId, seg: Segment, window: ClipWindow) -> Segment | None:
     """Clip ``seg`` to ``window`` with the kernel of ``algorithm``: the
-    retained part as a ``Segment``, or None when the kernel rejects."""
+    retained part as a ``Segment``, or None when the kernel rejects.
+
+    Raises ValueError for a bad segment or window, and for a pair outside
+    the kernels' exact domain: the box around both must pass the check
+    that ``bench`` and ``verify`` make of their generation space.
+    """
+    window = ClipWindow(*window)
+    seg = Segment(*seg)
+    x1, y1, x2, y2 = seg
+    xmin, ymin, xmax, ymax = window
+    box = ClipWindow(min(x1, x2, xmin), min(y1, y2, ymin), max(x1, x2, xmax), max(y1, y2, ymax))
+    require_window_in_space(window, box, "segment-and-window box")
     r = KERNELS[algorithm](*seg, *window)
     return None if r is None else Segment(*r)

@@ -78,18 +78,19 @@ _SPACE_EXTENT_MAX = 2.0**511
 _WINDOW_EXTENT_MIN = 2.0**-500
 
 
-def require_window_in_space(window: ClipWindow, space: ClipWindow) -> None:
+def require_window_in_space(window: ClipWindow, space: ClipWindow,
+                            space_name: str = "generation space") -> None:
     """Raise ValueError unless the clip window lies inside the generation
     space (boundary-inclusive), the space's width and height are finite
     doubles, as the stream's coordinate mapping needs, and both lie in
     the kernels' exact domain: the space at most 2^511 wide and high, the
-    window at least 2^-500."""
+    window at least 2^-500.  ``space_name`` names the space in messages."""
     w, s = window, space
     if not (math.isfinite(s.xmax - s.xmin) and math.isfinite(s.ymax - s.ymin)):
-        raise ValueError("generation space width and height must be finite")
+        raise ValueError(f"{space_name} width and height must be finite")
     if max(s.xmax - s.xmin, s.ymax - s.ymin) > _SPACE_EXTENT_MAX:
         raise ValueError(
-            "generation space width and height must be at most 2**511, the kernels' exact domain")
+            f"{space_name} width and height must be at most 2**511, the kernels' exact domain")
     if min(w.xmax - w.xmin, w.ymax - w.ymin) < _WINDOW_EXTENT_MIN:
         raise ValueError(
             "window width and height must be at least 2**-500, the kernels' exact domain")

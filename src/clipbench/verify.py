@@ -8,16 +8,19 @@ agreement, but an accepted grazing result must still land inside the
 
 The sweep walks the stream in blocks of ``_BLOCK`` cases, generating
 each block from the state the previous one returned, so the stream is
-never held whole: the oracle runs once per case, against one window
-prepared for the whole sweep, and sorts the block into rejects, accepts
-and grazing cases, then each kernel runs once over the block and its
-results are checked class by class.  Failures are recorded in case
-order.
+never held whole; the adversarial suite follows as one more block.  In
+each block the oracle runs once per case, against one window prepared
+for the whole sweep, and gives the case one verdict: None for a reject,
+the exact endpoints rounded to the nearest doubles for an accept, or
+``_GRAZING``.  Each kernel then runs once over the block, and its
+results are checked against the verdicts in one pass, in case order, so
+failures are recorded in case order.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
+from itertools import chain, repeat
 from math import hypot, isfinite
 
 from .bench import _materialize, require_seed
@@ -33,6 +36,9 @@ __all__ = ["AlgorithmCheck", "VerificationReport", "adversarial_segments", "run_
 # (bench._BLOCK), so generating block by block does the same lane work as
 # one whole-stream call.
 _BLOCK = 1024
+
+# The verdict of a case the oracle flags as grazing.
+_GRAZING = object()
 
 
 class AlgorithmCheck(namedtuple(
@@ -156,23 +162,36 @@ def _grazing_accept_valid(res, seg, x0, y0, x1, y1, pad, tol) -> bool:
     return True
 
 
+def _stream(seed: int, space: ClipWindow, cases: int):
+    """The first ``cases`` segments of the seeded stream, one block of at
+    most ``_BLOCK`` at a time, each from the state the last one returned."""
+    state = seed
+    for start in range(0, cases, _BLOCK):
+        block, state = _materialize(state, space, min(_BLOCK, cases - start))
+        yield block
+
+
 def run_verification(
     cases: int,
     seed: int,
-    space: ClipWindow,
-    window: ClipWindow,
+    space,
+    window,
     tolerance: float = 1e-9,
     kernels=None,
 ) -> VerificationReport:
     """Sweep ``cases`` seeded segments plus the adversarial suite.
 
-    Raises ValueError for negative ``cases``, a seed outside 64 bits, a
-    ``tolerance`` that is not finite and >= 0 (NaN would silently disable
-    the endpoint comparison), or a window outside the space.
+    ``space`` and ``window`` are any four bounds (xmin, ymin, xmax, ymax),
+    such as ``ClipWindow``s.  Raises ValueError for bad bounds, negative
+    ``cases``, a seed outside 64 bits, a ``tolerance`` that is not finite
+    and >= 0 (NaN would silently disable the endpoint comparison), or a
+    window outside the space or the kernels' exact domain.
 
     ``kernels`` may override individual algorithm kernels, which is how
     the harness itself is tested against deliberately broken clippers.
     """
+    space = ClipWindow(*space)
+    window = ClipWindow(*window)
     if cases < 0:
         raise ValueError("cases must be >= 0")
     require_seed(seed)
@@ -185,70 +204,52 @@ def run_verification(
     checks = [AlgorithmCheck(a) for a in AlgorithmId]
 
     x0, y0, x1, y1 = window
-    exact_window = _ExactWindow((x0, y0, x1, y1))
-    extent = max(x1 - x0, y1 - y0)
-    pad = 1e-9 * max(1.0, extent)
-
-    state = seed
+    exact_window = _ExactWindow(window)
+    pad = 1e-9 * max(1.0, x1 - x0, y1 - y0)
     suite = adversarial_segments(window)
     random_grazing = 0
 
-    for start in range(0, cases + len(suite), _BLOCK):
-        # The stream, one block at a time from the last block's state, then the suite.
-        block, state = _materialize(state, space, max(0, min(_BLOCK, cases - start)))
-        if start + _BLOCK > cases:
-            block += suite[max(0, start - cases):start + _BLOCK - cases]
-        # One oracle call per case sorts the block's indices into the three
-        # outcome classes; accepts carry their exact endpoints rounded to
-        # the nearest doubles.
-        rejects = []
-        accepts = []
-        grazing = []
-        for i, seg in enumerate(block):
-            exact = clip_exact(seg, exact_window)
-            if exact.grazing:
-                grazing.append(i)
-            elif exact.accepted:
-                accepts.append((i, *exact._float_ends()))
-            else:
-                rejects.append(i)
-        random_grazing += sum(start + i < cases for i in grazing)
+    for block in chain(_stream(seed, space, cases), [suite]):
+        # One oracle call per case gives the case's verdict.
+        verdicts = [_GRAZING if e.grazing else e._float_ends() if e.accepted else None
+                    for e in map(clip_exact, block, repeat(exact_window))]
+        if block is not suite:
+            random_grazing += verdicts.count(_GRAZING)
 
         for k, check in enumerate(checks):
             kernel = kernel_map[check.algorithm]
             results = [kernel(sx1, sy1, sx2, sy2, x0, y0, x1, y1)
                        for sx1, sy1, sx2, sy2 in block]
-            failed = [(i, "accepts where the exact clipper rejects")
-                      for i in rejects if results[i] is not None]
-            for i, gx1, gy1, gx2, gy2 in accepts:
-                res = results[i]
-                if res is None:
-                    failed.append((i, "rejects where the exact clipper accepts"))
+            exempt = 0
+            failed = []
+            for seg, res, exp in zip(block, results, verdicts):
+                if res is exp:
+                    continue  # both reject
+                if exp is _GRAZING:
+                    if res is None or _grazing_accept_valid(
+                            res, seg, x0, y0, x1, y1, pad, tolerance):
+                        exempt += 1
+                    else:
+                        failed.append((seg, "grazing accept violates containment or collinearity"))
+                elif res is None:
+                    failed.append((seg, "rejects where the exact clipper accepts"))
+                elif exp is None:
+                    failed.append((seg, "accepts where the exact clipper rejects"))
                 # Written so that a NaN coordinate, which compares False
                 # with everything, is a mismatch.
                 elif not (
-                    abs(res[0] - gx1) <= tolerance
-                    and abs(res[1] - gy1) <= tolerance
-                    and abs(res[2] - gx2) <= tolerance
-                    and abs(res[3] - gy2) <= tolerance
+                    abs(res[0] - exp[0]) <= tolerance
+                    and abs(res[1] - exp[1]) <= tolerance
+                    and abs(res[2] - exp[2]) <= tolerance
+                    and abs(res[3] - exp[3]) <= tolerance
                 ):
-                    failed.append((i, "accepted endpoints differ from the exact clip"))
-            matches = len(rejects) + len(accepts) - len(failed)
-            bad_grazing = [
-                i for i in grazing if results[i] is not None and not _grazing_accept_valid(
-                    results[i], block[i], x0, y0, x1, y1, pad, tolerance)
-            ]
-            failed += [(i, "grazing accept violates containment or collinearity")
-                       for i in bad_grazing]
-            # Failures are recorded in case order, as the first ten are kept.
-            failed.sort()
+                    failed.append((seg, "accepted endpoints differ from the exact clip"))
             checks[k] = AlgorithmCheck(
                 check.algorithm,
-                check.matches + matches,
-                check.grazing_exempt + len(grazing) - len(bad_grazing),
+                check.matches + len(block) - exempt - len(failed),
+                check.grazing_exempt + exempt,
                 check.mismatches + len(failed),
-                check.failures + tuple(
-                    (block[i], reason) for i, reason in failed[:10 - len(check.failures)]),
+                check.failures + tuple(failed[:10 - len(check.failures)]),
             )
 
     return VerificationReport(cases, len(suite), random_grazing, tuple(checks))

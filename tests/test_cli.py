@@ -85,6 +85,20 @@ def test_clip_invalid_window_exits_2(capsys):
     assert "xmin" in err
 
 
+@pytest.mark.parametrize("key", [algo.value.lower() for algo in AlgorithmId])
+def test_clip_outside_the_exact_domain_exits_2(capsys, key):
+    # Without the check this printed ACCEPT 1 0 -1 0 for Proposed and
+    # ACCEPT 0 0 0 0 for LB and CB, and NLN's infinite result was blamed
+    # on the input as "y1 must be finite".
+    code, out, err = run_cli(
+        capsys, "clip", "--algorithm", key,
+        "--seg", "1e300", "1e300", "-1e300", "-1e300", "--window", "-1", "-1", "1", "1",
+    )
+    assert (code, out) == (2, "")
+    assert err == ("error: segment-and-window box width and height must be at most 2**511, "
+                   "the kernels' exact domain\n")
+
+
 def test_malformed_number_exits_2(capsys):
     code, _, _ = run_cli(
         capsys, "clip", "--algorithm", "cs",

@@ -125,6 +125,22 @@ def test_dispatch_covers_every_algorithm():
                 assert [v.hex() for v in got] == [v.hex() for v in want], (algo, s)
 
 
+def test_clip_refuses_a_pair_outside_the_exact_domain():
+    # The box around segment and window is held to a generation space's
+    # bounds: admitted at exactly 2^511 wide or high, refused one ULP past.
+    window = ClipWindow(0.0, 0.0, 1.0, 1.0)
+    edge = 2.0**511
+    for seg in ((0.0, 0.5, edge, 0.5), (0.5, edge, 0.5, 0.0)):
+        for algo in ALGOS:
+            clip(algo, Segment(*seg), window)
+        past = tuple(math.nextafter(v, math.inf) if v == edge else v for v in seg)
+        with pytest.raises(ValueError, match=r"segment-and-window box .* exact domain"):
+            clip(AlgorithmId.PROPOSED, Segment(*past), window)
+    tiny = ClipWindow(0.0, 0.0, 2.0**-501, 2.0**-501)
+    with pytest.raises(ValueError, match=r"window width .* exact domain"):
+        clip(AlgorithmId.PROPOSED, Segment(0.0, 0.0, 1.0, 1.0), tiny)
+
+
 # ---------------------------------------------------------------------------
 # Property tests: containment, collinearity, parametric ordering, reflection
 # equivariance and totality at benchmark scale.  Coordinates are quantized

@@ -3,6 +3,7 @@ on a seeded random stream plus the adversarial suite, including pairwise
 agreement and the corner-mask witness validation."""
 
 import math
+import random
 
 import pytest
 
@@ -130,9 +131,10 @@ def test_nan_endpoints_never_match():
 def test_block_seams_keep_tallies_and_failure_order(cases, monkeypatch):
     # The random stream carries a window-corner point, which is grazing,
     # at every 1000th case and the last, so random_grazing counts cases on
-    # both sides of a seam; with BLOCK - 1 cases the first suite case, the
-    # grazing center point, ends the first block.  Positions count from the
-    # start of the whole stream, across however many calls generate it.
+    # both sides of a seam; the suite, whose first case is the grazing
+    # center point, is a block of its own after the stream and must not
+    # add to it.  Positions count from the start of the whole stream,
+    # across however many calls generate it.
     generate = verify._materialize
     corner = WINDOW[:2] * 2
     offset = 0
@@ -156,6 +158,18 @@ def test_block_seams_keep_tallies_and_failure_order(cases, monkeypatch):
     assert all(c.mismatches == 0 for c in report.checks[2:])
 
 
+def test_sweep_takes_any_four_bounds_and_refuses_bad_ones():
+    # Plain tuples or lists of bounds give the report ClipWindows give,
+    # as a BenchConfig takes them.
+    report = run_verification(300, 4, SPACE, WINDOW)
+    assert run_verification(300, 4, tuple(SPACE), list(WINDOW)) == report
+    for bad in ((math.nan, -75.0, 100.0, 75.0), (100.0, -75.0, -100.0, 75.0)):
+        with pytest.raises(ValueError):
+            run_verification(300, 4, SPACE, bad)
+        with pytest.raises(ValueError):
+            run_verification(300, 4, bad, WINDOW)
+
+
 @pytest.mark.parametrize("cases", [0, 1, verify._BLOCK, 3 * verify._BLOCK + 5])
 def test_sweep_generates_the_stream_one_block_at_a_time(cases, monkeypatch):
     # The sweep never holds the whole stream: each call asks for at most
@@ -174,7 +188,10 @@ def test_sweep_generates_the_stream_one_block_at_a_time(cases, monkeypatch):
     assert run_verification(cases, 9, SPACE, WINDOW).ok
     assert all(count <= verify._BLOCK for _, count, _ in calls)
     assert sum(count for _, count, _ in calls) == cases
-    assert [start for start, _, _ in calls] == [9] + [end for _, _, end in calls[:-1]]
+    # No call at all for zero cases; otherwise the first starts from the
+    # seed and each later one from the state its predecessor returned.
+    assert len(calls) == -(-cases // verify._BLOCK)
+    assert [start for start, _, _ in calls] == ([9] + [end for _, _, end in calls])[:len(calls)]
     assert verify._BLOCK % bench._BLOCK == 0
 
 
@@ -249,6 +266,32 @@ def test_no_outcome_flips_and_endpoints_within_64_window_ulps(shift):
                     worst[algo] = max(worst[algo], err)
     assert flips == []
     assert max(worst.values()) <= 64, worst
+
+
+# Segments far longer than the window: each line passes through a uniform
+# point of the window (-1, -1, 1, 1) at a uniform angle, with endpoints
+# 2^k from that point.  Up to 2^50 no kernel flips a non-grazing outcome.
+# The same draws flip from 2^52 on, where ulp(2^52) = 1 is half the
+# window: CS 2 of 3,000 at 2^52, and at 2^54 CS 159, Skala 253, KWC 38
+# and Proposed 36.
+def test_no_outcome_flips_for_segments_up_to_2_50_times_the_window():
+    window = (-1.0, -1.0, 1.0, 1.0)
+    exact_window = oracle._ExactWindow(window)
+    flips = []
+    for k in (10, 20, 30, 40, 50):
+        rng = random.Random(k)
+        for _ in range(3000):
+            px, py = rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)
+            angle = rng.uniform(0.0, 2.0 * math.pi)
+            dx, dy = math.ldexp(math.cos(angle), k), math.ldexp(math.sin(angle), k)
+            seg = (px - dx, py - dy, px + dx, py + dy)
+            exact = clip_exact(seg, exact_window)
+            if exact.grazing:
+                continue
+            for algo, kernel in KERNELS.items():
+                if (kernel(*seg, *window) is not None) != exact.accepted:
+                    flips.append((algo.value, k, seg))
+    assert flips == []
 
 
 def test_adversarial_suite_covers_the_stress_families():
