@@ -7,14 +7,12 @@ once, one chunk of at most ``CHUNK_SIZE`` segments at a time, and each
 chunk is clipped by every repetition and every algorithm before the next
 one is generated.  Timing covers the clip calls only: generation happens
 before the timer starts, and results are folded into a checksum and
-released after it stops.  A warm-up runs first on each chunk: every
-algorithm clips the chunk's first 1,024 segments, neither timed into the
-report nor folded.
-Measured against its later passes, a kernel's first timed pass is as
-fast after that prefix as after a warm-up over the whole chunk, within
-the host's noise, so a full pass would only cost time.  The first pass
-does take the page faults of the heap's growth, about 1% of its time
-at 200k lines (README, "Benchmark semantics").
+released after it stops.  Every pass is timed and folded, the first
+too: measured in fresh processes, a kernel's first pass runs within the
+host's noise of its later ones (README, "Benchmark semantics"), so an
+untimed warm-up pass would only cost time.  The first pass does take
+the page faults of the heap's growth, about 1% of its time at 200k
+lines.
 """
 
 from __future__ import annotations
@@ -54,10 +52,6 @@ _TWO64 = float(2**64)
 # chunk of segments at a time; the timer accumulates across chunks.
 CHUNK_SIZE = 1_000_000
 
-# Segments of each chunk that every kernel clips in the warm-up; the
-# module docstring says why a prefix is enough.
-_WARMUP = 1024
-
 # splitmix64's published constants, so a seed gives the same stream on
 # every platform: the state advances by _GAMMA, then _MIX1 and _MIX2 mix it.
 _GAMMA = 0x9E3779B97F4A7C15
@@ -66,7 +60,10 @@ _MIX2 = 0x94D049BB133111EB
 
 
 def require_seed(seed: int) -> None:
-    """Raise ValueError unless ``seed`` is a splitmix64 state, 0 <= seed < 2^64."""
+    """Raise ValueError unless ``seed`` is a splitmix64 state: an int (not
+    a bool) with 0 <= seed < 2^64."""
+    if type(seed) is not int:
+        raise ValueError(f"seed must be an int, got {seed!r}")
     if not (0 <= seed <= MASK64):
         raise ValueError("seed must fit in 64 bits")
 
@@ -158,7 +155,7 @@ class BenchConfig(namedtuple(
         space, window, lines, reps, seed, algorithms = super().__new__(cls, *args, **kwargs)
         self = super().__new__(cls, ClipWindow(*space), ClipWindow(*window), lines, reps, seed,
                                tuple(AlgorithmId(a) for a in algorithms))
-        for name, value in (("lines_per_run", lines), ("repetitions", reps), ("seed", seed)):
+        for name, value in (("lines_per_run", lines), ("repetitions", reps)):
             if type(value) is not int:
                 raise ValueError(f"{name} must be an int, got {value!r}")
         if self.lines_per_run < 1:
@@ -294,10 +291,9 @@ def run_bench(config: BenchConfig) -> BenchReport:
     """Run the timed protocol and return its report.
 
     Each chunk of the stream is materialized once, then clipped by every
-    repetition and, within a repetition, by every algorithm.  Repetition
-    0 is the warm-up: it clips only the chunk's first ``_WARMUP``
-    segments and is neither timed nor folded.  Each (algorithm,
-    repetition) timer and checksum accumulates across chunks.  Building
+    repetition and, within a repetition, by every algorithm.  Every pass
+    is timed and folded, and each (algorithm, repetition) timer and
+    checksum accumulates across chunks.  Building
     the report raises BenchInvariantError when the algorithms disagree
     on the accepted count or when one algorithm's accepted count or
     checksum differs between repetitions.
@@ -315,18 +311,17 @@ def run_bench(config: BenchConfig) -> BenchReport:
         count = min(remaining, CHUNK_SIZE)
         buf, state = _materialize(state, config.space, count)
         remaining -= count
-        for rep in range(config.repetitions + 1):
-            segs = buf if rep else buf[:_WARMUP]
+        for rep in range(1, config.repetitions + 1):
             for algo, kernel in kernels:
                 t0 = perf()
                 results = [
                     kernel(ax, ay, bx, by, wx0, wy0, wx1, wy1)
-                    for ax, ay, bx, by in segs
+                    for ax, ay, bx, by in buf
                 ]
+                # Read before the dict lookup, which the timer must not cover.
                 dt = perf() - t0
-                if rep:  # rep 0 is the warm-up
-                    elapsed[algo, rep] += dt
-                    folds[algo, rep].update(results)
+                elapsed[algo, rep] += dt
+                folds[algo, rep].update(results)
                 # Freed here, or the next pass's timer would cover the
                 # release of this pass's list and accepted tuples.
                 del results

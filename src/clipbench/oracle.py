@@ -129,15 +129,6 @@ _ORIENT_ERRBOUND = (3.0 + 16.0 * 2.0**-53) * 2.0**-53
 _ORIENT_TINY = 2.0**-900
 
 
-def _coords(obj, kind) -> tuple:
-    """``obj``'s four values as a plain tuple: a segment's x1, y1, x2, y2
-    or a window's xmin, ymin, xmax, ymax."""
-    vals = tuple(obj)
-    if len(vals) != 4:
-        raise ValueError(f"{kind} must provide exactly 4 coordinates")
-    return vals
-
-
 class _ExactWindow:
     """A clip window validated and lifted once, for many ``clip_exact``
     calls; ``run_verification`` builds one per sweep.
@@ -152,9 +143,9 @@ class _ExactWindow:
     __slots__ = ("bounds", "lifted", "floats")
 
     def __init__(self, bounds) -> None:
-        bounds = _coords(bounds, "window")
+        xmin, ymin, xmax, ymax = bounds
         try:
-            ratios = [v.as_integer_ratio() for v in bounds]
+            ratios = [v.as_integer_ratio() for v in (xmin, ymin, xmax, ymax)]
         except OverflowError:
             raise ValueError("window bounds must be finite") from None
         WL = lcm(*(d for _, d in ratios))
@@ -162,9 +153,8 @@ class _ExactWindow:
         # Scaling by the positive per-case factor L // WL keeps this order.
         if not (wx0 < wx1 and wy0 < wy1):
             raise ValueError("window bounds must satisfy xmin < xmax and ymin < ymax")
-        self.bounds = bounds
+        self.bounds = xmin, ymin, xmax, ymax
         self.lifted = wx0, wy0, wx1, wy1, WL
-        xmin, ymin, xmax, ymax = bounds
         self.floats = type(xmin) is type(ymin) is type(xmax) is type(ymax) is float
 
 
@@ -307,7 +297,7 @@ def clip_exact(seg, window) -> ExactClipOutcome:
     not.  A bad segment raises ValueError, except that an infinite
     coordinate raises OverflowError.
     """
-    x1, y1, x2, y2 = seg if type(seg) is tuple and len(seg) == 4 else _coords(seg, "segment")
+    x1, y1, x2, y2 = seg
     if type(window) is not _ExactWindow:
         window = _ExactWindow(window)
     # Exact type: the error bound holds for IEEE double arithmetic only,

@@ -183,7 +183,8 @@ def run_verification(
 
     ``space`` and ``window`` are any four bounds (xmin, ymin, xmax, ymax),
     such as ``ClipWindow``s.  Raises ValueError for bad bounds, negative
-    ``cases``, a seed outside 64 bits, a ``tolerance`` that is not finite
+    ``cases``, a ``cases`` or ``seed`` that is not an int (a bool is not
+    one), a seed outside 64 bits, a ``tolerance`` that is not finite
     and >= 0 (NaN would silently disable the endpoint comparison), or a
     window outside the space or the kernels' exact domain.
 
@@ -192,6 +193,8 @@ def run_verification(
     """
     space = ClipWindow(*space)
     window = ClipWindow(*window)
+    if type(cases) is not int:
+        raise ValueError(f"cases must be an int, got {cases!r}")
     if cases < 0:
         raise ValueError("cases must be >= 0")
     require_seed(seed)

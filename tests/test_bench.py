@@ -15,7 +15,6 @@ from clipbench.bench import (
     run_bench,
     speedup_percent,
     _BLOCK,
-    _WARMUP,
     _materialize,
 )
 from clipbench.clippers import KERNELS, AlgorithmId
@@ -342,13 +341,12 @@ def test_disagreeing_accepted_counts_raise(monkeypatch):
 
 
 def test_checksum_changing_between_reps_raises(monkeypatch):
-    # Clips like Proposed over the warm-up (the first min(lines, _WARMUP)
-    # segments) and the first repetition, then nudges every accepted
-    # endpoint: accepted counts still agree, but the second repetition's
-    # checksum differs from the first.
+    # Clips like Proposed over the first repetition, then nudges every
+    # accepted endpoint: accepted counts still agree, but the second
+    # repetition's checksum differs from the first.
     real = KERNELS[AlgorithmId.PROPOSED]
-    for lines in (500, _WARMUP + 500):
-        drift_after = min(lines, _WARMUP) + lines
+    for lines in (500, 1500):
+        drift_after = lines
         calls = [0]
 
         def drifting(*args):
@@ -364,42 +362,27 @@ def test_checksum_changing_between_reps_raises(monkeypatch):
             run_bench(cfg)
 
 
-def test_warm_up_clips_a_prefix_of_each_chunk(monkeypatch):
+def test_every_pass_clips_the_whole_chunk_once(monkeypatch):
+    # No pass is left out of the report: per chunk, Proposed clips the
+    # whole chunk once per repetition, in stream order, and nothing else.
     import clipbench.bench as bench_mod
 
     real = KERNELS[AlgorithmId.PROPOSED]
-    lines, reps = 2500, 2
-    monkeypatch.setattr(bench_mod, "CHUNK_SIZE", 1500)
-    chunks = [1500, 1000]
-    assert chunks[0] > _WARMUP > chunks[1]
-    expected_calls = sum(min(_WARMUP, c) for c in chunks) + reps * lines
-    # Proposed's calls in order: per chunk, its warm-up, then every rep.
-    warm_up_calls = set()
-    first = 0
-    for chunk in chunks:
-        warm_up_calls.update(range(first, first + min(_WARMUP, chunk)))
-        first += min(_WARMUP, chunk) + reps * chunk
-    calls = [0]
+    lines, reps, chunk = 2500, 2, 1500
+    monkeypatch.setattr(bench_mod, "CHUNK_SIZE", chunk)
+    stream, _ = _materialize(6, SPACE, lines)
+    seen = []
 
-    def counting(*args):
-        calls[0] += 1
+    def recording(*args):
+        seen.append(args[:4])
         return real(*args)
 
-    def rejecting_warm_up(*args):
-        calls[0] += 1
-        return None if calls[0] - 1 in warm_up_calls else real(*args)
-
-    cfg = BenchConfig(lines_per_run=lines, repetitions=reps, seed=6,
-                      algorithms=(AlgorithmId.COHEN_SUTHERLAND, AlgorithmId.PROPOSED))
-    key = lambda r: [(t.algorithm, t.run_index, t.accepted_count, t.checksum) for t in r.timings]
-    _with_proposed_kernel(monkeypatch, counting)
-    real_report = run_bench(cfg)
-    assert calls[0] == expected_calls
-    calls[0] = 0
-    _with_proposed_kernel(monkeypatch, rejecting_warm_up)
-    assert key(run_bench(cfg)) == key(real_report)
-    assert calls[0] == expected_calls
-    assert real_report.timings[0].accepted_count > 0
+    _with_proposed_kernel(monkeypatch, recording)
+    report = run_bench(BenchConfig(lines_per_run=lines, repetitions=reps, seed=6,
+                                   algorithms=(AlgorithmId.COHEN_SUTHERLAND, AlgorithmId.PROPOSED)))
+    assert len(seen) == reps * lines
+    assert seen == stream[:chunk] * reps + stream[chunk:] * reps
+    assert report.timings[0].accepted_count > 0
 
 
 def test_no_pass_times_the_release_of_earlier_results(monkeypatch):
@@ -428,18 +411,18 @@ def test_no_pass_times_the_release_of_earlier_results(monkeypatch):
 
     _with_proposed_kernel(monkeypatch, tracked)
     monkeypatch.setattr(bench_mod.time, "perf_counter", tick)
-    cfg = BenchConfig(lines_per_run=_WARMUP + 200, repetitions=3, seed=3,
+    cfg = BenchConfig(lines_per_run=1200, repetitions=3, seed=3,
                       algorithms=(AlgorithmId.PROPOSED, AlgorithmId.KWC))
     report = run_bench(cfg)
     monkeypatch.undo()
-    assert events.count("free") > 3 * report.timings[0].accepted_count > 0
+    assert events.count("free") == cfg.repetitions * report.timings[0].accepted_count > 0
     ticks = 0
     for event in events:
         if event == "tick":
             ticks += 1
         else:
             assert ticks % 2 == 0, f"a release fell inside pass {ticks // 2 + 1}"
-    assert ticks == 2 * len(cfg.algorithms) * (cfg.repetitions + 1)
+    assert ticks == 2 * len(cfg.algorithms) * cfg.repetitions
 
 
 # ---------------------------------------------------------------------------

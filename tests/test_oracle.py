@@ -143,6 +143,13 @@ def test_non_finite_float_coordinates_raise(bad, error):
             clip_exact(base, WF[:i] + (bad,) + WF[i + 1:])
 
 
+def test_segment_without_four_coordinates_raises():
+    # On the float path (trivially outside the left side) and the integer path.
+    for seg in ((-300.0, 0.0, -200.0), (-10.0, -5.0, 10.0, 5.0, 0.0), (-10, -5, 10)):
+        with pytest.raises(ValueError):
+            clip_exact(seg, WF)
+
+
 @pytest.mark.parametrize("shift", [0.0, 1e6], ids=["origin", "shift1e6"])
 @pytest.mark.parametrize(
     "corner", [(-1, -1), (1, -1), (1, 1), (-1, 1)], ids=["bl", "br", "tr", "tl"]

@@ -168,6 +168,11 @@ def test_sweep_takes_any_four_bounds_and_refuses_bad_ones():
             run_verification(300, 4, SPACE, bad)
         with pytest.raises(ValueError):
             run_verification(300, 4, bad, WINDOW)
+    # cases and seed must be ints, as BenchConfig's counts and seed are;
+    # a bool is not one.
+    for cases, seed in ((5.5, 4), (True, 4), (300.0, 4), (300, 1.5), (300, True)):
+        with pytest.raises(ValueError, match="must be an int"):
+            run_verification(cases, seed, SPACE, WINDOW)
 
 
 @pytest.mark.parametrize("cases", [0, 1, verify._BLOCK, 3 * verify._BLOCK + 5])
