@@ -27,9 +27,8 @@ from . import (
     proposed,
     skala,
 )
-from .skala import EDGE_TABLE
 
-__all__ = ["AlgorithmId", "KERNELS", "clip", "EDGE_TABLE"]
+__all__ = ["AlgorithmId", "KERNELS", "clip"]
 
 
 class AlgorithmId(enum.Enum):

@@ -46,9 +46,12 @@ it is empty, and one grazing expression.  A point segment's interval is
 from t = 0 or to t = 1 already puts that endpoint in the closed window,
 so neither needs a branch of its own.
 
-An accept keeps its endpoints as integers: two numerators over one
-positive denominator per endpoint, divided by their common gcd.  ``p1``
-and ``p2`` build reduced ``Fraction`` pairs from them when read, and
+An outcome is the pair ``(grazing, ends)``.  An accept keeps its
+endpoints as integers: two numerators over one positive denominator per
+endpoint, divided by their common gcd.  A reject has no endpoints, so
+``accepted`` is derived, ``ends is not None``, and no outcome can be an
+accept without endpoints or a reject with them.  ``p1`` and ``p2``
+build reduced ``Fraction`` pairs from the endpoints when read, and
 ``_float_ends`` returns each coordinate as ``n / d``.  Python's int true
 division is correctly rounded, so ``n / d`` is the double nearest the
 exact value, the same double as ``float(Fraction(n, d))``.  Every value
@@ -66,28 +69,32 @@ from .geom import _checked_make
 __all__ = ["ExactClipOutcome", "clip_exact"]
 
 
-class ExactClipOutcome(namedtuple("ExactClipOutcome", "accepted grazing ends", defaults=(None,))):
-    """Accept with exact rational endpoints, or reject; plus the grazing flag.
+class ExactClipOutcome(namedtuple("ExactClipOutcome", "grazing ends", defaults=(None,))):
+    """The grazing flag, plus an accept's exact rational endpoints.
 
     An accept's ``ends = (x1, y1, d1, x2, y2, d2)`` holds integer
-    numerators over two positive denominators, endpoint i at
-    ``(xi / di, yi / di)``; a reject has ``ends=None``.  Each endpoint is
-    reduced by ``gcd(xi, yi, di)`` however the outcome is built, which
-    makes its integer form unique, so outcomes compare and hash as tuples
-    by exact value.  ``p1`` and ``p2`` build reduced ``Fraction`` pairs
-    from ``ends`` when read, and are None on a reject.
+    numerators over two denominators, endpoint i at ``(xi / di, yi / di)``;
+    a reject has ``ends=None``.  ``accepted`` is ``ends is not None``.
+    Both denominators must be positive, or ValueError is raised, and each
+    endpoint is reduced by ``gcd(xi, yi, di)`` however the outcome is
+    built, which makes its integer form unique, so outcomes compare and
+    hash as tuples by exact value.  ``p1`` and ``p2`` build reduced
+    ``Fraction`` pairs from ``ends`` when read, and are None on a reject.
     """
 
     __slots__ = ()
 
-    def __new__(cls, accepted: bool, grazing: bool, ends: tuple | None = None):
+    def __new__(cls, grazing: bool, ends: tuple | None = None):
         if ends is not None:
             x1, y1, d1, x2, y2, d2 = ends
+            if not (d1 > 0 and d2 > 0):
+                raise ValueError(f"ends denominators must be positive, got {d1!r} and {d2!r}")
             g1 = gcd(x1, y1, d1)
             g2 = gcd(x2, y2, d2)
             ends = x1 // g1, y1 // g1, d1 // g1, x2 // g2, y2 // g2, d2 // g2
-        return super().__new__(cls, accepted, grazing, ends)
+        return super().__new__(cls, grazing, ends)
 
+    accepted = property(lambda self: self.ends is not None)
     _make = classmethod(_checked_make)
 
     def _point(self, i: int) -> tuple[Fraction, Fraction] | None:
@@ -119,8 +126,8 @@ class ExactClipOutcome(namedtuple("ExactClipOutcome", "accepted grazing ends", d
 
 # Rejects carry no endpoints, so every reject shares one of these two
 # instances instead of building a new one per case.
-_REJECT = ExactClipOutcome(False, False)
-_REJECT_GRAZING = ExactClipOutcome(False, True)
+_REJECT = ExactClipOutcome(False)
+_REJECT_GRAZING = ExactClipOutcome(True)
 
 # Shewchuk's stage-A error bound for a float orient2d determinant,
 # (3 + 16 eps) eps with eps = 2**-53, and the magnitude below which
@@ -338,7 +345,7 @@ def clip_exact(seg, window) -> ExactClipOutcome:
         or (t0n == 0 and (X1 == XMIN or X1 == XMAX or Y1 == YMIN or Y1 == YMAX))
         or (t1n == t1d and (X2 == XMIN or X2 == XMAX or Y2 == YMIN or Y2 == YMAX))
     )
-    return ExactClipOutcome(True, grazing, (
+    return ExactClipOutcome(grazing, (
         X1 * t0d + t0n * DX, Y1 * t0d + t0n * DY, t0d * L,
         X1 * t1d + t1n * DX, Y1 * t1d + t1n * DY, t1d * L,
     ))

@@ -214,7 +214,7 @@ def run_verification(
 
     for block in chain(_stream(seed, space, cases), [suite]):
         # One oracle call per case gives the case's verdict.
-        verdicts = [_GRAZING if e.grazing else e._float_ends() if e.accepted else None
+        verdicts = [_GRAZING if e.grazing else None if e.ends is None else e._float_ends()
                     for e in map(clip_exact, block, repeat(exact_window))]
         if block is not suite:
             random_grazing += verdicts.count(_GRAZING)

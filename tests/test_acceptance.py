@@ -12,8 +12,8 @@ import pytest
 
 from clipbench.bench import _materialize, mean_seconds, speedup_percent
 from clipbench.cli import main
-from clipbench.clippers import EDGE_TABLE, KERNELS, AlgorithmId
-from clipbench.clippers.skala import clip_coords as skala_clip
+from clipbench.clippers import KERNELS, AlgorithmId
+from clipbench.clippers.skala import EDGE_TABLE, clip_coords as skala_clip
 from clipbench.geom import ClipWindow
 from clipbench.oracle import clip_exact
 from clipbench.verify import adversarial_segments

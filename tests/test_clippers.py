@@ -4,7 +4,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from clipbench.bench import _materialize
-from clipbench.clippers import EDGE_TABLE, KERNELS, AlgorithmId, clip
+from clipbench.clippers import KERNELS, AlgorithmId, clip
+from clipbench.clippers.skala import EDGE_TABLE
 from clipbench.geom import ClipWindow, Segment
 from clipbench.verify import adversarial_segments
 

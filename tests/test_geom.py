@@ -65,6 +65,8 @@ BAD_FIELDS = [
     (W, "xmax", -200.0),  # swapped
     (W, "ymin", 75.0),  # zero height
     (W, "xmin", -math.inf),
+    (ExactClipOutcome(False, (1, 2, 1, 1, 2, 3)), "ends", (1, 2, -1, 1, 2, 3)),
+    (ExactClipOutcome(False, (1, 2, 1, 1, 2, 3)), "ends", (1, 2, 1, 1, 2, 0)),
 ]
 
 
@@ -83,7 +85,7 @@ def test_bad_record_raises_on_every_construction_path(good, name, bad, path):
 
 @pytest.mark.parametrize("value", [
     Segment(0, 1, 2, 3), W,
-    ExactClipOutcome(True, False, (2, 4, 2, 3, 6, 9)),
+    ExactClipOutcome(False, (2, 4, 2, 3, 6, 9)),
     AlgorithmCheck(AlgorithmId.KWC, 1, 2, 3, (((0.0, 1.0, 2.0, 3.0), "reason"),)),
 ])
 def test_record_pickles_and_is_immutable(value):
@@ -98,12 +100,12 @@ def test_record_pickles_and_is_immutable(value):
 def test_outcome_ends_are_in_lowest_terms_on_every_construction_path():
     # Each endpoint (x, y, d) is divided by gcd(x, y, d), so equal values
     # have equal fields and tuple equality is equality by exact value.
-    outcome = ExactClipOutcome(True, False, (2, 4, 2, 3, 6, 9))
+    outcome = ExactClipOutcome(False, (2, 4, 2, 3, 6, 9))
     reduced = (1, 2, 1, 1, 2, 3)
     assert outcome.ends == reduced
-    assert ExactClipOutcome._make((True, False, (2, 4, 2, 3, 6, 9))).ends == reduced
-    assert ExactClipOutcome(True, False)._replace(ends=(2, 4, 2, 3, 6, 9)).ends == reduced
-    assert outcome == ExactClipOutcome(True, False, reduced) == (True, False, reduced)
+    assert ExactClipOutcome._make((False, (2, 4, 2, 3, 6, 9))).ends == reduced
+    assert ExactClipOutcome(False)._replace(ends=(2, 4, 2, 3, 6, 9)).ends == reduced
+    assert outcome == ExactClipOutcome(False, reduced) == (False, reduced)
 
 
 def test_records_unpack_and_compare_as_tuples():

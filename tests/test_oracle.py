@@ -71,7 +71,7 @@ def test_degenerate_point_is_grazing(point, exact):
         assert o.accepted and o.grazing
         assert o.p1 == o.p2 == (Fraction(x), Fraction(y))
     else:
-        assert o == (False, False, None)
+        assert o == (False, None) and not o.accepted
 
 
 def test_corner_tangent_line_flags_grazing_on_reject():
@@ -374,10 +374,10 @@ def test_equal_outcomes_are_equal_values_whatever_the_input_types():
         o = outcomes[0]
         # The same value as built from its integer endpoints, and hashed
         # as the plain tuple of its fields.
-        rebuilt = ExactClipOutcome(o.accepted, o.grazing, o.ends)
+        rebuilt = ExactClipOutcome(o.grazing, o.ends)
         assert rebuilt == o and hash(rebuilt) == hash(o)
-        assert hash(o) == hash((o.accepted, o.grazing, o.ends))
-        assert o == (o.accepted, o.grazing, o.ends)
+        assert hash(o) == hash((o.grazing, o.ends))
+        assert o == (o.grazing, o.ends)
         assert pickle.loads(pickle.dumps(o)) == copy.copy(o) == o
     assert clip_exact((-200, 0, 0, 200), W) != clip_exact((-200, -200, 200, 200), W)
     assert clip_exact((5, 5, 5, 5), W) != clip_exact((6, 5, 6, 5), W)
@@ -388,6 +388,27 @@ def test_equal_outcomes_are_equal_values_whatever_the_input_types():
     assert repr(clip_exact((-200, 0, 0, 200), W)) == (
         "ExactClipOutcome(accepted=False, grazing=False, p1=None, p2=None)"
     )
+
+
+def test_outcome_accepts_exactly_when_it_has_ends():
+    # An outcome is (grazing, ends); accepted is derived from ends, so no
+    # accept lacks endpoints and no reject carries them.
+    assert ExactClipOutcome._fields == ("grazing", "ends")
+    accept = clip_exact((-200, -200, 200, 200), W)
+    outcomes = [
+        oracle._REJECT, oracle._REJECT_GRAZING, accept,
+        oracle._REJECT._replace(ends=(1, 2, 1, 3, 4, 1)), accept._replace(ends=None),
+    ]
+    assert [o.accepted for o in outcomes] == [False, False, True, True, False]
+    for o in outcomes:
+        assert o.accepted is (o.ends is not None)
+    with pytest.raises(TypeError):
+        ExactClipOutcome(True, False, (1, 2, 1, 3, 4, 1))
+    # Both denominators positive is the form that makes equal values
+    # equal; tests/test_geom.py checks every construction path.
+    for ends in ((1, 2, -1, 1, 2, 1), (1, 2, 1, 1, 2, -3), (0, 0, 0, 1, 2, 1), (1, 2, 1, 1, 2, 0)):
+        with pytest.raises(ValueError, match="denominators must be positive"):
+            ExactClipOutcome(False, ends)
 
 
 @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6], ids=["x1e-6", "x1", "x1e6"])

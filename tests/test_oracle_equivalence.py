@@ -9,8 +9,8 @@ import pytest
 
 from clipbench import bench, oracle, verify
 from clipbench.bench import _materialize
-from clipbench.clippers import EDGE_TABLE, KERNELS, AlgorithmId
-from clipbench.clippers.skala import clip_coords as skala_clip
+from clipbench.clippers import KERNELS, AlgorithmId
+from clipbench.clippers.skala import EDGE_TABLE, clip_coords as skala_clip
 from clipbench.geom import ClipWindow, require_window_in_space
 from clipbench.oracle import clip_exact
 from clipbench.verify import (

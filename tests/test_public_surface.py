@@ -31,7 +31,7 @@ PACKAGE_SURFACE = [
     "speedup_percent",
 ]
 
-CLIPPERS_SURFACE = ["AlgorithmId", "EDGE_TABLE", "KERNELS", "clip"]
+CLIPPERS_SURFACE = ["AlgorithmId", "KERNELS", "clip"]
 
 
 def test_package_surface_is_pinned():
