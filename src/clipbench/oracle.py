@@ -40,11 +40,13 @@ test, but its comparisons are exact and it uses a float sign only when
 certified, not rounded, so it has no rounding error to share with any
 clipper.
 
-The integer path is one route: the interval, the single-point test when
-it is empty, and one grazing expression.  A point segment's interval is
-[0, 1] inside the closed window and empty outside it, and an interval
-from t = 0 or to t = 1 already puts that endpoint in the closed window,
-so neither needs a branch of its own.
+The integer path is one route: one interval and one grazing expression.
+The interval is the supporting line's parameter range in the closed
+window, cut to the segment's [0, 1]; an empty cut is a reject, grazing
+iff the line's range is a single point.  A point segment's range is
+unbounded inside the closed window and empty outside it, and a cut at
+t = 0 or t = 1 already puts that endpoint in the closed window, so
+neither needs a branch of its own.
 
 An outcome is the pair ``(grazing, ends)``.  An accept keeps its
 endpoints as integers: two numerators over one positive denominator per
@@ -166,12 +168,17 @@ class _ExactWindow:
 
 
 def _interval_ints(X1, Y1, DX, DY, XMIN, YMIN, XMAX, YMAX):
-    """[0,1] intersected with the four half-plane constraints.
+    """The supporting line's parameter range in the closed window.
 
-    Returns (t0n, t0d, t1n, t1d) with positive denominators, or None.
+    Starts from the unbounded range, whose ends ``(∓1, 0)`` the
+    cross-multiplied comparisons order as -inf and +inf, and intersects
+    it with the four half-plane constraints.  Returns (t0n, t0d, t1n,
+    t1d), or None when the line misses the window.  A finite end has a
+    positive denominator; only a point segment inside the window keeps
+    both unbounded ends.
     """
-    t0n, t0d = 0, 1
-    t1n, t1d = 1, 1
+    t0n, t0d = -1, 0
+    t1n, t1d = 1, 0
     for p, q in (
         (DX, XMAX - X1),
         (-DX, X1 - XMIN),
@@ -192,24 +199,6 @@ def _interval_ints(X1, Y1, DX, DY, XMIN, YMIN, XMAX, YMAX):
         if t1n * t0d < t0n * t1d:
             return None
     return t0n, t0d, t1n, t1d
-
-
-def _line_touches_single_point(X1, Y1, DX, DY, XMIN, YMIN, XMAX, YMAX) -> bool:
-    # A line touches the closed rectangle in exactly one point iff it
-    # passes through exactly one corner with the other three corners
-    # strictly on one side.
-    zeros = 0
-    pos = 0
-    neg = 0
-    for CX, CY in ((XMIN, YMIN), (XMAX, YMIN), (XMAX, YMAX), (XMIN, YMAX)):
-        s = DX * (CY - Y1) - DY * (CX - X1)
-        if s == 0:
-            zeros += 1
-        elif s > 0:
-            pos += 1
-        else:
-            neg += 1
-    return zeros == 1 and (pos == 3 or neg == 3)
 
 
 def _certified_plain_reject(x1, y1, x2, y2, xmin, ymin, xmax, ymax) -> bool:
@@ -333,11 +322,17 @@ def clip_exact(seg, window) -> ExactClipOutcome:
     DY = Y2 - Y1
     iv = _interval_ints(X1, Y1, DX, DY, XMIN, YMIN, XMAX, YMAX)
     if iv is None:
-        if _line_touches_single_point(X1, Y1, DX, DY, XMIN, YMIN, XMAX, YMAX):
-            return _REJECT_GRAZING
         return _REJECT
-
+    # Cut the line's range to [0, 1]; a line touching in one point grazes.
     t0n, t0d, t1n, t1d = iv
+    if t0n < 0:
+        t0n, t0d = 0, 1
+    if t1n > t1d:
+        t1n, t1d = 1, 1
+    if t1n * t0d < t0n * t1d:
+        t0n, t0d, t1n, t1d = iv
+        return _REJECT_GRAZING if t0n * t1d == t1n * t0d else _REJECT
+
     grazing = (
         t0n * t1d == t1n * t0d
         or (DX == 0 and (DY == 0 or X1 == XMIN or X1 == XMAX))

@@ -190,6 +190,8 @@ def run_verification(
 
     ``kernels`` may override individual algorithm kernels, which is how
     the harness itself is tested against deliberately broken clippers.
+    Each key goes through ``AlgorithmId(key)``: a member or its report
+    spelling (``"Proposed"``) works, any other key raises ValueError.
     """
     space = ClipWindow(*space)
     window = ClipWindow(*window)
@@ -203,7 +205,7 @@ def run_verification(
     require_window_in_space(window, space)
     kernel_map = dict(KERNELS)
     if kernels:
-        kernel_map.update(kernels)
+        kernel_map.update((AlgorithmId(a), k) for a, k in kernels.items())
     checks = [AlgorithmCheck(a) for a in AlgorithmId]
 
     x0, y0, x1, y1 = window

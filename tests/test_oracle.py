@@ -62,8 +62,8 @@ _POINTS = [
     "bottom-in", "bottom-out", "top-in", "top-out",
 ])
 def test_degenerate_point_is_grazing(point, exact):
-    # A point takes the interval route: [0, 1] inside the closed window,
-    # empty outside, and its four zero corner orientations touch nothing.
+    # A point takes the interval route: its line range is unbounded inside
+    # the closed window, which the cut makes [0, 1], and empty outside.
     conv = Fraction if exact else float
     x, y = map(conv, point)
     o = clip_exact((x, y, x, y), tuple(map(conv, WF)))
@@ -82,6 +82,33 @@ def test_corner_tangent_line_flags_grazing_on_reject():
     o2 = clip_exact((-175, 0, -50, 125), W)
     assert o2.accepted and o2.grazing
     assert o2.p1 == o2.p2 == (Fraction(-100), Fraction(75))
+
+    def reject(seg, window, grazing):
+        for s in (seg, (*seg[2:], *seg[:2])):  # both directions
+            o = clip_exact(s, window)
+            assert o == (grazing, None) and not o.accepted, s
+
+    # Each corner's 45-degree tangent line, stopping short before the
+    # touch point and beyond it: the line's range in the window is that
+    # one point, so the reject grazes.
+    for conv, ts in ((int, (-50, -1, 1, 50)),
+                     (Fraction, (-Fraction(151, 3), -Fraction(1, 7),
+                                 Fraction(1, 7), Fraction(151, 3)))):
+        window = tuple(map(conv, W))
+        for sx, sy in ((-1, -1), (1, -1), (1, 1), (-1, 1)):
+            cx, cy, dx, dy = sx * 100, sy * 75, 1, -sx * sy
+            for ta, tb in (ts[:2], ts[2:]):
+                reject((conv(cx + ta * dx), conv(cy + ta * dy),
+                        conv(cx + tb * dx), conv(cy + tb * dy)), window, True)
+    # A line through two opposite corners meets the window along a
+    # diagonal, so a segment stopping short of either corner does not graze.
+    for x, y, dx, dy in ((-100, -75, -4, -3), (100, 75, 4, 3),
+                         (-100, 75, -4, 3), (100, -75, 4, -3)):
+        reject((x + dx, y + dy, x + 20 * dx, y + 20 * dy), W, False)
+    # On an edge line, short of the window: the line's range is the edge.
+    for seg in ((110, -75, 150, -75), (101, -75, 150, -75), (-150, 75, -110, 75),
+                (-100, 80, -100, 120), (-100, 76, -100, 120), (100, -120, 100, -80)):
+        reject(seg, W, False)
 
 
 @pytest.mark.parametrize("first", [True, False], ids=["p1", "p2"])

@@ -123,6 +123,11 @@ def test_nan_endpoints_never_match():
     assert (nan.matches, nan.grazing_exempt, nan.mismatches) == (len(cases) - accepts, 0, accepts)
     assert accepts == 385
     assert all(c.mismatches == 0 for c in report.checks[:-1])
+    # The report spelling names the same algorithm, so the override is
+    # the kernel checked; any other key is refused, not ignored.
+    assert run_verification(2000, 1, SPACE, WINDOW, kernels={"Proposed": _nan_proposed}) == report
+    with pytest.raises(ValueError):
+        run_verification(2000, 1, SPACE, WINDOW, kernels={"proposed": _nan_proposed})
 
 
 @pytest.mark.parametrize(
