@@ -22,6 +22,7 @@ import struct
 import sys
 import time
 from collections import namedtuple
+from itertools import compress
 
 # hashlib binds blake2b to this same builtin object, but importing
 # hashlib also loads OpenSSL, which nothing here uses.
@@ -232,16 +233,17 @@ class BenchReport(namedtuple("BenchReport", "config timings")):
         return {name: speedup_percent(ref, avg) for name, avg in averages.items()}
 
 
-_PACK_INDEX = struct.Struct("<Q")
-_PACK_COORDS = struct.Struct("<4d")
+_PACK_RECORD = struct.Struct("<Q4d")
 
 
 class _ResultFold:
     """Order-sensitive 64-bit digest over a stream of clip results.
 
-    Accepts contribute their stream index and endpoint bit patterns;
-    rejects contribute through the indices and the final length, so any
-    accept/reject flip changes the digest.
+    BLAKE2b (8-byte digest) over, per accepted result in stream order,
+    its 0-based stream index as a little-endian u64 and x1, y1, x2, y2
+    as little-endian IEEE doubles, then the result count as a u64.  The
+    digest is read as a little-endian int and printed as 16 hex digits.
+    An accept/reject flip moves the indices or the count, so the digest.
     """
 
     __slots__ = ("_h", "_count", "accepted")
@@ -253,21 +255,18 @@ class _ResultFold:
 
     def update(self, results) -> None:
         h = self._h
-        pack_index = _PACK_INDEX.pack
-        pack_coords = _PACK_COORDS.pack
-        base = self._count
-        accepted = 0
-        for i, r in enumerate(results):
-            if r is not None:
-                accepted += 1
-                h.update(pack_index(base + i))
-                h.update(pack_coords(*r))
-        self._count = base + len(results)
-        self.accepted += accepted
+        pack = _PACK_RECORD.pack
+        accepted = self.accepted
+        # An accept is a 4-tuple, always true, so compress skips only None.
+        for i, (x1, y1, x2, y2) in compress(enumerate(results, self._count), results):
+            h.update(pack(i, x1, y1, x2, y2))
+            accepted += 1
+        self._count += len(results)
+        self.accepted = accepted
 
     def digest(self) -> int:
         h = self._h.copy()
-        h.update(_PACK_INDEX.pack(self._count))
+        h.update(self._count.to_bytes(8, "little"))
         return int.from_bytes(h.digest(), "little")
 
 

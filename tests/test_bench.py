@@ -1,5 +1,7 @@
+import hashlib
 import json
 import pickle
+import struct
 
 import pytest
 from hypothesis import given, strategies as st
@@ -15,6 +17,7 @@ from clipbench.bench import (
     run_bench,
     speedup_percent,
     _BLOCK,
+    _ResultFold,
     _materialize,
 )
 from clipbench.clippers import KERNELS, AlgorithmId
@@ -325,6 +328,47 @@ STREAM_PINS_100K = {
 def test_stream_checksums_are_pinned():
     report = run_bench(BenchConfig(lines_per_run=100_000, repetitions=1, seed=1))
     assert {t.algorithm: (t.accepted_count, t.checksum) for t in report.timings} == STREAM_PINS_100K
+    # The record format README states, rebuilt without the harness's fold:
+    # per accept its stream index as a u64 and its four coordinates as
+    # doubles, then the result count, all little-endian, into an 8-byte
+    # BLAKE2b read as a little-endian int.
+    buf, _ = _materialize(1, SPACE, 100_000)
+    for algo, pin in STREAM_PINS_100K.items():
+        kernel = KERNELS[algo]
+        h = hashlib.blake2b(digest_size=8)
+        accepted = 0
+        for i, (ax, ay, bx, by) in enumerate(buf):
+            r = kernel(ax, ay, bx, by, *WINDOW)
+            if r is not None:
+                accepted += 1
+                h.update(struct.pack("<Q", i) + struct.pack("<4d", *r))
+        h.update(struct.pack("<Q", len(buf)))
+        assert (accepted, int.from_bytes(h.digest(), "little")) == pin, algo
+
+
+def _fold(*parts):
+    fold = _ResultFold()
+    for part in parts:
+        fold.update(part)
+    return fold.accepted, fold.digest()
+
+
+def test_result_fold_does_not_depend_on_how_the_stream_is_split():
+    results = [
+        (i * 1.5, -i / 3, 2.0 ** -i, i - 19.75) if i in (0, 7, 8, 22, 39) else None
+        for i in range(40)
+    ]
+    whole = _fold(results)
+    assert whole[0] == 5
+    for k in range(len(results) + 1):
+        assert _fold(results[:k], results[k:]) == whole, k
+    assert _fold([], results, []) == whole
+    # Rejects count through the result count alone.
+    padded = _fold(results, [None] * 3)
+    assert padded[0] == whole[0] and padded[1] != whole[1]
+    assert _fold([None] * 3)[1] != _fold([])[1]
+    # The same accepts at other stream positions give another digest.
+    assert _fold([None], results[:-1])[1] != _fold(results[:-1], [None])[1]
 
 
 def _with_proposed_kernel(monkeypatch, kernel):
