@@ -53,12 +53,17 @@ endpoints as integers: two numerators over one positive denominator per
 endpoint, divided by their common gcd.  A reject has no endpoints, so
 ``accepted`` is derived, ``ends is not None``, and no outcome can be an
 accept without endpoints or a reject with them.  ``p1`` and ``p2``
-build reduced ``Fraction`` pairs from the endpoints when read, and
-``_float_ends`` returns each coordinate as ``n / d``.  Python's int true
+build reduced ``Fraction`` pairs from the endpoints when read.
+
+A sweep compares kernels' doubles with the oracle and needs no rational,
+so ``clip_exact(seg, window, rounded=True)`` returns the verdict alone:
+None for a non-grazing reject, ``GRAZING`` for every grazing case, and
+otherwise the accept's four coordinates as ``n / d`` of its unreduced
+integers, with no outcome built and no gcd taken.  Python's int true
 division is correctly rounded, so ``n / d`` is the double nearest the
-exact value, the same double as ``float(Fraction(n, d))``.  Every value
-stays exact up to that one rounding, so the oracle still shares no
-arithmetic with any clipper.
+exact value, the same double as ``float(Fraction(n, d))`` of the reduced
+fraction.  Every value stays exact up to that one rounding, so the
+oracle still shares no arithmetic with any clipper.
 """
 
 from __future__ import annotations
@@ -68,7 +73,10 @@ from math import gcd, inf, lcm
 
 from .geom import _checked_make
 
-__all__ = ["ExactClipOutcome", "clip_exact"]
+__all__ = ["GRAZING", "ExactClipOutcome", "clip_exact"]
+
+# The rounded verdict of every grazing case.
+GRAZING = object()
 
 
 class ExactClipOutcome(namedtuple("ExactClipOutcome", "grazing ends", defaults=(None,))):
@@ -109,15 +117,6 @@ class ExactClipOutcome(namedtuple("ExactClipOutcome", "grazing ends", defaults=(
 
     p1 = property(lambda self: self._point(0))
     p2 = property(lambda self: self._point(3))
-
-    def _float_ends(self) -> tuple[float, float, float, float]:
-        """An accept's endpoints as the nearest doubles, x1, y1, x2, y2.
-
-        Python's int true division is correctly rounded, so each ``n / d``
-        equals ``float(Fraction(n, d))`` without building the Fraction.
-        """
-        x1, y1, d1, x2, y2, d2 = self.ends
-        return x1 / d1, y1 / d1, x2 / d2, y2 / d2
 
     def __repr__(self) -> str:
         return (
@@ -282,7 +281,9 @@ def _certified_plain_reject(x1, y1, x2, y2, xmin, ymin, xmax, ymax) -> bool:
     return positive is (det > 0) or outside
 
 
-def clip_exact(seg, window) -> ExactClipOutcome:
+def clip_exact(
+    seg, window, rounded: bool = False,
+) -> ExactClipOutcome | tuple[float, float, float, float] | object | None:
     """Exact parametric clip of a segment against a window.
 
     ``seg`` is any 4-sequence (x1, y1, x2, y2), such as a Segment;
@@ -292,6 +293,12 @@ def clip_exact(seg, window) -> ExactClipOutcome:
     Fraction or Decimal.  A bad window raises ValueError, prepared or
     not.  A bad segment raises ValueError, except that an infinite
     coordinate raises OverflowError.
+
+    Returns the reduced ``ExactClipOutcome``.  With ``rounded=True`` it
+    returns a sweep's verdict instead, from the same arithmetic: None
+    for a non-grazing reject, ``GRAZING`` for any grazing case, accept
+    or reject, and otherwise the accept's endpoints as the four nearest
+    doubles, (x1, y1, x2, y2).
     """
     x1, y1, x2, y2 = seg
     if type(window) is not _ExactWindow:
@@ -301,7 +308,7 @@ def clip_exact(seg, window) -> ExactClipOutcome:
     if window.floats and type(x1) is type(y1) is type(x2) is type(y2) is float:
         xmin, ymin, xmax, ymax = window.bounds
         if _certified_plain_reject(x1, y1, x2, y2, xmin, ymin, xmax, ymax):
-            return _REJECT
+            return None if rounded else _REJECT
     x1n, x1d = x1.as_integer_ratio()
     y1n, y1d = y1.as_integer_ratio()
     x2n, x2d = x2.as_integer_ratio()
@@ -322,7 +329,7 @@ def clip_exact(seg, window) -> ExactClipOutcome:
     DY = Y2 - Y1
     iv = _interval_ints(X1, Y1, DX, DY, XMIN, YMIN, XMAX, YMAX)
     if iv is None:
-        return _REJECT
+        return None if rounded else _REJECT
     # Cut the line's range to [0, 1]; a line touching in one point grazes.
     t0n, t0d, t1n, t1d = iv
     if t0n < 0:
@@ -331,7 +338,9 @@ def clip_exact(seg, window) -> ExactClipOutcome:
         t1n, t1d = 1, 1
     if t1n * t0d < t0n * t1d:
         t0n, t0d, t1n, t1d = iv
-        return _REJECT_GRAZING if t0n * t1d == t1n * t0d else _REJECT
+        if t0n * t1d == t1n * t0d:
+            return GRAZING if rounded else _REJECT_GRAZING
+        return None if rounded else _REJECT
 
     grazing = (
         t0n * t1d == t1n * t0d
@@ -340,7 +349,15 @@ def clip_exact(seg, window) -> ExactClipOutcome:
         or (t0n == 0 and (X1 == XMIN or X1 == XMAX or Y1 == YMIN or Y1 == YMAX))
         or (t1n == t1d and (X2 == XMIN or X2 == XMAX or Y2 == YMIN or Y2 == YMAX))
     )
-    return ExactClipOutcome(grazing, (
+    ends = (
         X1 * t0d + t0n * DX, Y1 * t0d + t0n * DY, t0d * L,
         X1 * t1d + t1n * DX, Y1 * t1d + t1n * DY, t1d * L,
-    ))
+    )
+    if not rounded:
+        return ExactClipOutcome(grazing, ends)
+    if grazing:
+        return GRAZING
+    # Int true division is correctly rounded, so the unreduced integers
+    # give the doubles the reduced ones would.
+    x1n, y1n, d1, x2n, y2n, d2 = ends
+    return x1n / d1, y1n / d1, x2n / d2, y2n / d2

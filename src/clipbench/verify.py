@@ -10,9 +10,10 @@ The sweep walks the stream in blocks of ``_BLOCK`` cases, generating
 each block from the state the previous one returned, so the stream is
 never held whole; the adversarial suite follows as one more block.  In
 each block the oracle runs once per case, against one window prepared
-for the whole sweep, and gives the case one verdict: None for a reject,
-the exact endpoints rounded to the nearest doubles for an accept, or
-``_GRAZING``.  Each kernel then runs once over the block, and its
+for the whole sweep, and gives the case its rounded verdict,
+``clip_exact(seg, window, rounded=True)``: None for a reject, the exact
+endpoints rounded to the nearest doubles for an accept, or
+``oracle.GRAZING``.  Each kernel then runs once over the block, and its
 results are checked against the verdicts in one pass, in case order, so
 failures are recorded in case order.
 """
@@ -26,7 +27,7 @@ from math import hypot, isfinite
 from .bench import _materialize, require_seed
 from .clippers import KERNELS, AlgorithmId
 from .geom import ClipWindow, require_window_in_space
-from .oracle import _ExactWindow, clip_exact
+from .oracle import GRAZING, _ExactWindow, clip_exact
 
 __all__ = ["AlgorithmCheck", "VerificationReport", "adversarial_segments", "run_verification"]
 
@@ -36,9 +37,6 @@ __all__ = ["AlgorithmCheck", "VerificationReport", "adversarial_segments", "run_
 # (bench._BLOCK), so generating block by block does the same lane work as
 # one whole-stream call.
 _BLOCK = 1024
-
-# The verdict of a case the oracle flags as grazing.
-_GRAZING = object()
 
 
 class AlgorithmCheck(namedtuple(
@@ -216,10 +214,9 @@ def run_verification(
 
     for block in chain(_stream(seed, space, cases), [suite]):
         # One oracle call per case gives the case's verdict.
-        verdicts = [_GRAZING if e.grazing else None if e.ends is None else e._float_ends()
-                    for e in map(clip_exact, block, repeat(exact_window))]
+        verdicts = list(map(clip_exact, block, repeat(exact_window), repeat(True)))
         if block is not suite:
-            random_grazing += verdicts.count(_GRAZING)
+            random_grazing += verdicts.count(GRAZING)
 
         for k, check in enumerate(checks):
             kernel = kernel_map[check.algorithm]
@@ -230,7 +227,7 @@ def run_verification(
             for seg, res, exp in zip(block, results, verdicts):
                 if res is exp:
                     continue  # both reject
-                if exp is _GRAZING:
+                if exp is GRAZING:
                     if res is None or _grazing_accept_valid(
                             res, seg, x0, y0, x1, y1, pad, tolerance):
                         exempt += 1

@@ -390,14 +390,36 @@ def test_outcome_endpoints_are_reduced_fraction_pairs_and_immutable():
     assert o.accepted and o.p1 == clip_exact((-200.5, -199.25, 200.125, 201.75), W).p1
 
 
+def _verdict(outcome):
+    """The rounded verdict a reduced outcome stands for, each double as
+    its bit pattern."""
+    if outcome.grazing:
+        return oracle.GRAZING
+    if outcome.ends is None:
+        return None
+    return [float(v).hex() for v in (*outcome.p1, *outcome.p2)]
+
+
+def _verdict_bits(verdict):
+    if verdict is None or verdict is oracle.GRAZING:
+        return verdict
+    assert type(verdict) is tuple and [type(v) for v in verdict] == [float] * 4
+    return [v.hex() for v in verdict]
+
+
 def test_equal_outcomes_are_equal_values_whatever_the_input_types():
     for seg in SUITE:
-        outcomes = [
-            clip_exact(tuple(map(convert, seg)), W)
-            for convert in (float, Fraction, lambda v: Decimal(float(v)))
-        ]
-        assert outcomes[0] == outcomes[1] == outcomes[2]
+        converts = [float, Fraction, lambda v: Decimal(float(v))]
+        if all(float(v).is_integer() for v in seg):
+            converts.append(lambda v: int(float(v)))
+        outcomes = [clip_exact(tuple(map(convert, seg)), W) for convert in converts]
+        assert outcomes[1:] == outcomes[:-1]
         assert len({hash(o) for o in outcomes}) == 1
+        # The rounded form gives every input type the verdict of the
+        # reduced outcome.
+        for convert in converts:
+            verdict = clip_exact(tuple(map(convert, seg)), W, rounded=True)
+            assert _verdict_bits(verdict) == _verdict(outcomes[0]), (seg, convert)
         o = outcomes[0]
         # The same value as built from its integer endpoints, and hashed
         # as the plain tuple of its fields.
@@ -441,17 +463,16 @@ def test_outcome_accepts_exactly_when_it_has_ends():
 @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6], ids=["x1e-6", "x1", "x1e6"])
 @pytest.mark.parametrize("shift", [0.0, 1e6, 1e8], ids=["0", "1e6", "1e8"])
 def test_float_ends_are_the_correctly_rounded_fractions(shift, scale):
+    # The rounded form divides the unreduced integers; correctly rounded
+    # int division gives the double of the reduced fraction.
     space = ClipWindow(*(v * scale + shift for v in (-960.0, -720.0, 960.0, 720.0)))
     window = ClipWindow(*(v * scale + shift for v in WF))
     randoms, _ = _materialize(13, space, 3000)
     accepts = 0
     for seg in randoms + adversarial_segments(window):
         o = clip_exact(seg, window)
-        if o.accepted:
-            accepts += 1
-            assert [v.hex() for v in o._float_ends()] == [
-                float(v).hex() for v in (*o.p1, *o.p2)
-            ]
+        assert _verdict_bits(clip_exact(seg, window, rounded=True)) == _verdict(o)
+        accepts += o.accepted
     assert accepts > 300
 
 

@@ -209,16 +209,19 @@ def test_sweep_generates_the_stream_one_block_at_a_time(cases, monkeypatch):
 def test_sweep_calls_the_oracle_by_name_once_per_case(cases, monkeypatch):
     # perfbench traces the oracle layer by wrapping verify.clip_exact, so
     # the sweep must call that module-level name once per case, with one
-    # window prepared for the whole sweep.
+    # window prepared for the whole sweep, for rounded verdicts.
     windows = []
+    asked = []
 
-    def counting(seg, window):
+    def counting(seg, window, rounded=False):
         windows.append(window)
-        return clip_exact(seg, window)
+        asked.append(rounded)
+        return clip_exact(seg, window, rounded)
 
     monkeypatch.setattr(verify, "clip_exact", counting)
     report = run_verification(cases, 5, SPACE, WINDOW)
     assert len(windows) == cases + len(adversarial_segments(WINDOW))
+    assert all(r is True for r in asked)
     assert type(windows[0]) is oracle._ExactWindow
     assert all(w is windows[0] for w in windows)
     assert windows[0].bounds == WINDOW
@@ -263,10 +266,9 @@ def test_no_outcome_flips_and_endpoints_within_64_window_ulps(shift):
         ulp = math.ulp(max(map(abs, window)))
         exact_window = oracle._ExactWindow(window)
         for seg in [move(s) for s in base] + adversarial_segments(window):
-            exact = clip_exact(seg, exact_window)
-            if exact.grazing:
+            ends = clip_exact(seg, exact_window, rounded=True)
+            if ends is oracle.GRAZING:
                 continue
-            ends = exact._float_ends() if exact.accepted else None
             for algo, kernel in KERNELS.items():
                 res = kernel(*seg, *window)
                 if (res is None) != (ends is None):
@@ -302,6 +304,88 @@ def test_no_outcome_flips_for_segments_up_to_2_50_times_the_window():
                 if (kernel(*seg, *window) is not None) != exact.accepted:
                     flips.append((algo.value, k, seg))
     assert flips == []
+
+
+def _near_edge_segments(seed, space, window, count):
+    """Segments with both endpoints within 2 ULPs of one edge line: the
+    edge coordinate moved by k ULPs each, k uniform in -2..2, the other
+    coordinate uniform over the space."""
+    rng = random.Random(seed)
+    segs = []
+    for _ in range(count):
+        side = rng.randrange(4)  # xmin, ymin, xmax, ymax
+        ends = []
+        for _ in range(2):
+            c = window[side]
+            k = rng.randint(-2, 2)
+            for _ in range(abs(k)):
+                c = math.nextafter(c, math.copysign(math.inf, k))
+            ends.append(c)
+        lo, hi = (space[1], space[3]) if side % 2 == 0 else (space[0], space[2])
+        u, v = rng.uniform(lo, hi), rng.uniform(lo, hi)
+        segs.append((ends[0], u, ends[1], v) if side % 2 == 0 else (u, ends[0], v, ends[1]))
+    return segs
+
+
+# Per kernel on 5,000 seed-5 near-edge segments: non-grazing outcome
+# flips, the flipped accepts that lie outside the padded window, and
+# agreeing accepts whose endpoints differ by more than 1e-9.  LB, CB, NLN
+# and Skala agree on every case.  KWC and Proposed accept segments the
+# oracle rejects with a result outside the window, and CS accepts exact
+# rejects inside it.  The endpoint errors reach whole edges: on
+# (955.2268729305922, 74.99999999999997)-(-703.9027655162818,
+# 75.00000000000001) CS returns the point (100, 75) for the exact clip
+# (100, 75)-(-100, 75), and KWC and Proposed return a 200-unit edge for a
+# 2.8-unit clip.  These are ceilings: a change may lower a tally, not
+# raise it.
+NEAR_EDGE_CEILINGS = {
+    AlgorithmId.COHEN_SUTHERLAND: (186, 0, 184),
+    AlgorithmId.LIANG_BARSKY: (0, 0, 0),
+    AlgorithmId.CYRUS_BECK: (0, 0, 0),
+    AlgorithmId.NICHOLL_LEE_NICHOLL: (0, 0, 0),
+    AlgorithmId.SKALA: (0, 0, 0),
+    AlgorithmId.KWC: (166, 127, 87),
+    AlgorithmId.PROPOSED: (340, 127, 87),
+}
+
+
+@pytest.mark.parametrize("shift", [0.0, 1e6])
+def test_near_edge_family_tallies_are_pinned(shift):
+    space = tuple(v + shift for v in SPACE)
+    window = tuple(v + shift for v in WINDOW)
+    x0, y0, x1, y1 = window
+    pad = 1e-9 * max(1.0, x1 - x0, y1 - y0)
+    exact_window = oracle._ExactWindow(window)
+    tallies = {a: [0, 0, 0] for a in AlgorithmId}
+    grazing = accepts = 0
+    for seg in _near_edge_segments(5, space, window, 5000):
+        # Most of these cases take the integer path, which the random
+        # stream rarely reaches: the rounded verdict must be the reduced
+        # outcome's, bit for bit.
+        verdict = clip_exact(seg, exact_window, rounded=True)
+        exact = clip_exact(seg, exact_window)
+        if exact.grazing:
+            assert verdict is oracle.GRAZING
+            grazing += 1
+            continue
+        if exact.accepted:
+            assert [v.hex() for v in verdict] == [float(v).hex() for v in (*exact.p1, *exact.p2)]
+            accepts += 1
+        else:
+            assert verdict is None
+        for algo, kernel in KERNELS.items():
+            res = kernel(*seg, *window)
+            if (res is None) != (verdict is None):
+                tallies[algo][0] += 1
+                if res is not None and not all(
+                        x0 - pad <= res[i] <= x1 + pad and y0 - pad <= res[i + 1] <= y1 + pad
+                        for i in (0, 2)):
+                    tallies[algo][1] += 1
+            elif res is not None and not all(abs(r - e) <= 1e-9 for r, e in zip(res, verdict)):
+                tallies[algo][2] += 1
+    assert (grazing, accepts) == (277, 1500)
+    for algo, ceiling in NEAR_EDGE_CEILINGS.items():
+        assert all(t <= c for t, c in zip(tallies[algo], ceiling)), (algo.value, tallies[algo])
 
 
 def test_adversarial_suite_covers_the_stress_families():
