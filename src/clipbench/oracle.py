@@ -14,31 +14,31 @@ degenerate to a single point, segments lying exactly on a boundary edge
 line, segment endpoints lying exactly on the boundary, and supporting
 lines that touch the closed window in exactly one point.
 
+``clip_exact(seg, window)`` answers in ``clip``'s form: None for a
+non-grazing reject, ``GRAZING`` for every grazing case, and otherwise
+the accept's four coordinates as ``n / d`` of its unreduced integers,
+which is the nearest double because int true division is correctly
+rounded; it builds no outcome and takes no gcd.
+``ExactClipOutcome.of(seg, window)`` builds the exact record from the
+integer path alone, never the float filter below.  Every value stays
+exact up to one final rounding, so the oracle shares no arithmetic with
+any clipper.
+
 A sweep clips many segments against one window, so the window can be
 prepared once: ``_ExactWindow`` validates the bounds, lifts them to
 integers over their least common denominator and records whether all
-four are exact ``float`` instances.  ``clip_exact`` takes a prepared
-window or any bounds form, which it prepares per call.
+four are exact ``float`` instances.  Both entry points take a prepared
+window or any bounds form, which they prepare per call.
 
-One fast path skips the integer lift.  When all eight coordinates are
-exact ``float`` instances, Shewchuk's filtered orient2d predicate
-(Adaptive Precision Floating-Point Arithmetic and Fast Robust Geometric
-Predicates, 1997) certifies in floats the sign of each window corner's
-orientation against the supporting line.  Two certified rejects follow.
-If both endpoints lie strictly beyond the same window side, plain float
-comparisons prove the reject, and four certified nonzero orientations
-prove the line passes through no corner, so it is not grazing.  If the
-four orientations are certified nonzero with one sign, every corner lies
-strictly on one side of the line, so the line misses the closed window
-(Skala's corner-sign test, 2005): again a non-grazing reject.  Only a
-certified case returns early.  Every other case takes the integer path:
-accepts, orientations too close to zero for the error bound, point
-segments, underflow-scale, infinite or NaN values, and every non-float
-input.  So the outcome is the exact one either way.  The fast path
-tests what Cohen-Sutherland's trivial reject and Skala's corner signs
-test, but its comparisons are exact and it uses a float sign only when
-certified, not rounded, so it has no rounding error to share with any
-clipper.
+One fast path in ``clip_exact`` skips the integer lift.  When all eight
+coordinates are exact ``float`` instances, ``_certified_plain_reject``
+certifies a non-grazing reject in floats with Shewchuk's filtered
+orient2d predicate (Adaptive Precision Floating-Point Arithmetic and
+Fast Robust Geometric Predicates, 1997); only a certified case returns
+early.  Every other case takes the integer path: accepts, orientations
+too close to zero for the error bound, point segments, underflow-scale,
+infinite or NaN values, and every non-float input.  So the answer is
+the exact one's either way.
 
 The integer path is one route: one interval and one grazing expression.
 The interval is the supporting line's parameter range in the closed
@@ -54,16 +54,6 @@ endpoint, divided by their common gcd.  A reject has no endpoints, so
 ``accepted`` is derived, ``ends is not None``, and no outcome can be an
 accept without endpoints or a reject with them.  ``p1`` and ``p2``
 build reduced ``Fraction`` pairs from the endpoints when read.
-
-A sweep compares kernels' doubles with the oracle and needs no rational,
-so ``clip_exact(seg, window, rounded=True)`` returns the verdict alone:
-None for a non-grazing reject, ``GRAZING`` for every grazing case, and
-otherwise the accept's four coordinates as ``n / d`` of its unreduced
-integers, with no outcome built and no gcd taken.  Python's int true
-division is correctly rounded, so ``n / d`` is the double nearest the
-exact value, the same double as ``float(Fraction(n, d))`` of the reduced
-fraction.  Every value stays exact up to that one rounding, so the
-oracle still shares no arithmetic with any clipper.
 """
 
 from __future__ import annotations
@@ -75,7 +65,7 @@ from .geom import _checked_make
 
 __all__ = ["GRAZING", "ExactClipOutcome", "clip_exact"]
 
-# The rounded verdict of every grazing case.
+# What clip_exact returns for every grazing case.
 GRAZING = object()
 
 
@@ -104,6 +94,15 @@ class ExactClipOutcome(namedtuple("ExactClipOutcome", "grazing ends", defaults=(
             ends = x1 // g1, y1 // g1, d1 // g1, x2 // g2, y2 // g2, d2 // g2
         return super().__new__(cls, grazing, ends)
 
+    @classmethod
+    def of(cls, seg, window) -> ExactClipOutcome:
+        """The exact outcome, from the integer path alone and never the
+        float filter; takes and raises what ``clip_exact`` does."""
+        x1, y1, x2, y2 = seg
+        if type(window) is not _ExactWindow:
+            window = _ExactWindow(window)
+        return cls(*_clip_ints(x1, y1, x2, y2, window))
+
     accepted = property(lambda self: self.ends is not None)
     _make = classmethod(_checked_make)
 
@@ -124,11 +123,6 @@ class ExactClipOutcome(namedtuple("ExactClipOutcome", "grazing ends", defaults=(
             f"p1={self.p1!r}, p2={self.p2!r})"
         )
 
-
-# Rejects carry no endpoints, so every reject shares one of these two
-# instances instead of building a new one per case.
-_REJECT = ExactClipOutcome(False)
-_REJECT_GRAZING = ExactClipOutcome(True)
 
 # Shewchuk's stage-A error bound for a float orient2d determinant,
 # (3 + 16 eps) eps with eps = 2**-53, and the magnitude below which
@@ -281,34 +275,9 @@ def _certified_plain_reject(x1, y1, x2, y2, xmin, ymin, xmax, ymax) -> bool:
     return positive is (det > 0) or outside
 
 
-def clip_exact(
-    seg, window, rounded: bool = False,
-) -> ExactClipOutcome | tuple[float, float, float, float] | object | None:
-    """Exact parametric clip of a segment against a window.
-
-    ``seg`` is any 4-sequence (x1, y1, x2, y2), such as a Segment;
-    ``window`` is a ClipWindow, any 4-sequence (xmin, ymin, xmax, ymax),
-    or a window prepared once by ``_ExactWindow``.  Coordinates may be
-    of any type with an exact ``as_integer_ratio()``: float, int,
-    Fraction or Decimal.  A bad window raises ValueError, prepared or
-    not.  A bad segment raises ValueError, except that an infinite
-    coordinate raises OverflowError.
-
-    Returns the reduced ``ExactClipOutcome``.  With ``rounded=True`` it
-    returns a sweep's verdict instead, from the same arithmetic: None
-    for a non-grazing reject, ``GRAZING`` for any grazing case, accept
-    or reject, and otherwise the accept's endpoints as the four nearest
-    doubles, (x1, y1, x2, y2).
-    """
-    x1, y1, x2, y2 = seg
-    if type(window) is not _ExactWindow:
-        window = _ExactWindow(window)
-    # Exact type: the error bound holds for IEEE double arithmetic only,
-    # which a float subclass, Decimal, Fraction or int need not follow.
-    if window.floats and type(x1) is type(y1) is type(x2) is type(y2) is float:
-        xmin, ymin, xmax, ymax = window.bounds
-        if _certified_plain_reject(x1, y1, x2, y2, xmin, ymin, xmax, ymax):
-            return None if rounded else _REJECT
+def _clip_ints(x1, y1, x2, y2, window: _ExactWindow) -> tuple[bool, tuple | None]:
+    """The integer path: ``(grazing, ends)`` with ``ends`` unreduced, or
+    None on a reject, as ``ExactClipOutcome`` takes them."""
     x1n, x1d = x1.as_integer_ratio()
     y1n, y1d = y1.as_integer_ratio()
     x2n, x2d = x2.as_integer_ratio()
@@ -329,7 +298,7 @@ def clip_exact(
     DY = Y2 - Y1
     iv = _interval_ints(X1, Y1, DX, DY, XMIN, YMIN, XMAX, YMAX)
     if iv is None:
-        return None if rounded else _REJECT
+        return False, None
     # Cut the line's range to [0, 1]; a line touching in one point grazes.
     t0n, t0d, t1n, t1d = iv
     if t0n < 0:
@@ -338,9 +307,7 @@ def clip_exact(
         t1n, t1d = 1, 1
     if t1n * t0d < t0n * t1d:
         t0n, t0d, t1n, t1d = iv
-        if t0n * t1d == t1n * t0d:
-            return GRAZING if rounded else _REJECT_GRAZING
-        return None if rounded else _REJECT
+        return t0n * t1d == t1n * t0d, None
 
     grazing = (
         t0n * t1d == t1n * t0d
@@ -349,15 +316,41 @@ def clip_exact(
         or (t0n == 0 and (X1 == XMIN or X1 == XMAX or Y1 == YMIN or Y1 == YMAX))
         or (t1n == t1d and (X2 == XMIN or X2 == XMAX or Y2 == YMIN or Y2 == YMAX))
     )
-    ends = (
+    return grazing, (
         X1 * t0d + t0n * DX, Y1 * t0d + t0n * DY, t0d * L,
         X1 * t1d + t1n * DX, Y1 * t1d + t1n * DY, t1d * L,
     )
-    if not rounded:
-        return ExactClipOutcome(grazing, ends)
+
+
+def clip_exact(seg, window) -> tuple[float, float, float, float] | object | None:
+    """Exact parametric clip of a segment against a window, in the form
+    ``clip`` returns.
+
+    ``seg`` is any 4-sequence (x1, y1, x2, y2), such as a Segment;
+    ``window`` is a ClipWindow, any 4-sequence (xmin, ymin, xmax, ymax),
+    or a window prepared once by ``_ExactWindow``.  Coordinates may be
+    of any type with an exact ``as_integer_ratio()``: float, int,
+    Fraction or Decimal.  A bad window raises ValueError, prepared or
+    not.  A bad segment raises ValueError, except that an infinite
+    coordinate raises OverflowError.
+
+    Returns None for a non-grazing reject, ``GRAZING`` for any grazing
+    case, accept or reject, and otherwise the accept's endpoints as the
+    four nearest doubles, (x1, y1, x2, y2).
+    """
+    x1, y1, x2, y2 = seg
+    if type(window) is not _ExactWindow:
+        window = _ExactWindow(window)
+    # Exact type: the error bound holds for IEEE double arithmetic only,
+    # which a float subclass, Decimal, Fraction or int need not follow.
+    if window.floats and type(x1) is type(y1) is type(x2) is type(y2) is float:
+        xmin, ymin, xmax, ymax = window.bounds
+        if _certified_plain_reject(x1, y1, x2, y2, xmin, ymin, xmax, ymax):
+            return None
+    grazing, ends = _clip_ints(x1, y1, x2, y2, window)
     if grazing:
         return GRAZING
-    # Int true division is correctly rounded, so the unreduced integers
-    # give the doubles the reduced ones would.
+    if ends is None:
+        return None
     x1n, y1n, d1, x2n, y2n, d2 = ends
     return x1n / d1, y1n / d1, x2n / d2, y2n / d2

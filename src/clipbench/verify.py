@@ -10,9 +10,9 @@ The sweep walks the stream in blocks of ``_BLOCK`` cases, generating
 each block from the state the previous one returned, so the stream is
 never held whole; the adversarial suite follows as one more block.  In
 each block the oracle runs once per case, against one window prepared
-for the whole sweep, and gives the case its rounded verdict,
-``clip_exact(seg, window, rounded=True)``: None for a reject, the exact
-endpoints rounded to the nearest doubles for an accept, or
+for the whole sweep, and gives the case its verdict in the kernels' own
+form, ``clip_exact(seg, window)``: None for a non-grazing reject, the
+exact endpoints rounded to the nearest doubles for an accept, or
 ``oracle.GRAZING``.  Each kernel then runs once over the block, and its
 results are checked against the verdicts in one pass, in case order, so
 failures are recorded in case order.
@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from itertools import chain, repeat
-from math import hypot, isfinite
+from math import fsum, hypot, isfinite
 
 from .bench import _materialize, require_seed
 from .clippers import KERNELS, AlgorithmId
@@ -105,10 +105,17 @@ def adversarial_segments(window: ClipWindow) -> list[tuple[float, float, float, 
         cases.append((ax, ay, bx, by))
 
     # Corner grazing: tangent diagonals touching exactly one corner, in
-    # both directions.
+    # both directions.  A half-extent step that rounds against the corner
+    # would miss it, so it becomes |p|, or the extent at p = 0: exact sums.
+    def step(p, s, extent):
+        d = s * extent / 2.0
+        if fsum((p, d, -(p + d))) or fsum((p, -d, -(p - d))):
+            return s * (abs(p) or extent)
+        return d
+
     for (px, py), (sx, sy) in zip(corners, ((-1, 1), (1, 1), (1, -1), (-1, -1))):
-        dxv = sx * w / 2.0
-        dyv = sy * h / 2.0
+        dxv = step(px, sx, w)
+        dyv = step(py, sy, h)
         cases.append((px - dxv, py - dyv, px + dxv, py + dyv))
         cases.append((px + dxv, py + dyv, px - dxv, py - dyv))
 
@@ -214,7 +221,7 @@ def run_verification(
 
     for block in chain(_stream(seed, space, cases), [suite]):
         # One oracle call per case gives the case's verdict.
-        verdicts = list(map(clip_exact, block, repeat(exact_window), repeat(True)))
+        verdicts = list(map(clip_exact, block, repeat(exact_window)))
         if block is not suite:
             random_grazing += verdicts.count(GRAZING)
 

@@ -15,7 +15,7 @@ from clipbench.cli import main
 from clipbench.clippers import KERNELS, AlgorithmId
 from clipbench.clippers.skala import EDGE_TABLE, clip_coords as skala_clip
 from clipbench.geom import ClipWindow
-from clipbench.oracle import clip_exact
+from clipbench.oracle import ExactClipOutcome
 from clipbench.verify import adversarial_segments
 
 import reference_timings as ref
@@ -155,7 +155,7 @@ def test_criterion_5_skala_mask_validation():
     witnesses = witness_segments(WINDOW)
     assert set(witnesses) == REALIZABLE_MASKS
     for mask, seg in witnesses.items():
-        exact = clip_exact(seg, WINDOW)
+        exact = ExactClipOutcome.of(seg, WINDOW)
         got = skala_clip(*seg, *WINDOW)
         if exact.grazing:
             continue

@@ -22,7 +22,7 @@ from clipbench.bench import (
 )
 from clipbench.clippers import KERNELS, AlgorithmId
 from clipbench.geom import ClipWindow
-from clipbench.oracle import clip_exact
+from clipbench.oracle import ExactClipOutcome
 
 import reference_timings as ref
 
@@ -271,7 +271,7 @@ def test_equal_seed_equal_accepted_across_algorithms_and_oracle():
     exact_accepted = 0
     grazing = 0
     for seg in buf:
-        o = clip_exact(seg, WINDOW)
+        o = ExactClipOutcome.of(seg, WINDOW)
         exact_accepted += o.accepted
         grazing += o.grazing
     assert grazing == 0

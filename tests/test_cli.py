@@ -3,13 +3,15 @@ import math
 import os
 import re
 import threading
+from fractions import Fraction
 
 import pytest
 
 from clipbench.cli import format_double, main
 from clipbench.clippers import AlgorithmId
 from clipbench.geom import ClipWindow
-from clipbench.verify import run_verification
+from clipbench.oracle import ExactClipOutcome
+from clipbench.verify import adversarial_segments, run_verification
 
 VERIFY_LINE = re.compile(r"^\w+: \d+ match, \d+ grazing-exempt, (\d+) MISMATCH$")
 
@@ -454,6 +456,37 @@ def test_verify_window_scaled_by_1e_minus_6_in_exponent_form(capsys):
         "--space", "-9.6e-04", "-7.2e-04", "9.6e-04", "7.2e-04",
         "--window", "-1e-4", "-7.5e-05", "1e-4", "7.5e-05",
     ) == plain
+
+
+@pytest.mark.parametrize("window, space", [
+    ((-100.1, -75.3, 100.7, 75.9), None),
+    ((0.001, 0.002, 0.007, 0.011), (0.0, 0.0, 1.0, 1.0)),
+    ((0.0, 0.0, 1e-150, 1e-150), (0.0, 0.0, 1.0, 1.0)),
+], ids=["w-rounds", "px-rounds", "1e-150"])
+def test_verify_corner_tangents_touch_their_corner_where_half_extents_round(
+        capsys, window, space):
+    # At these windows w / 2 or px +- w / 2 rounds, and a tangent diagonal
+    # built from them would miss its corner: every kernel would be blamed.
+    bounds = ["--window", *map(repr, window)]
+    if space:
+        bounds += ["--space", *map(repr, space)]
+    code, out, err = run_cli(capsys, "verify", "--cases", "0", *bounds)
+    assert (code, err) == (0, "")
+    rows = [VERIFY_LINE.match(line) for line in out.split("\n")]
+    assert [m.group(1) for m in rows if m] == ["0"] * 7
+    assert not any(line.startswith("MISMATCH") for line in out.split("\n"))
+    # The tangent diagonals are the suite's segments, not points, whose
+    # exact midpoint is a corner; each touches the window there alone.
+    x0, y0, x1, y1 = window
+    corners = {(Fraction(x), Fraction(y)) for x in (x0, x1) for y in (y0, y1)}
+    tangents = [
+        seg for seg in adversarial_segments(ClipWindow(*window))
+        if seg[:2] != seg[2:]
+        and ((Fraction(seg[0]) + Fraction(seg[2])) / 2,
+             (Fraction(seg[1]) + Fraction(seg[3])) / 2) in corners
+    ]
+    assert len(tangents) == 8
+    assert all(ExactClipOutcome.of(seg, window).grazing for seg in tangents)
 
 
 def test_verify_negative_cases_exits_2(capsys):

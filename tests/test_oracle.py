@@ -23,19 +23,19 @@ class _FloatSubclass(float):
 
 
 def test_main_diagonal():
-    o = clip_exact((-200, -200, 200, 200), W)
+    o = ExactClipOutcome.of((-200, -200, 200, 200), W)
     assert o.accepted and not o.grazing
     assert o.p1 == (Fraction(-75), Fraction(-75))
     assert o.p2 == (Fraction(75), Fraction(75))
 
 
 def test_miss_above_corner():
-    o = clip_exact((-200, 0, 0, 200), W)
+    o = ExactClipOutcome.of((-200, 0, 0, 200), W)
     assert not o.accepted and not o.grazing
 
 
 def test_segment_on_top_boundary_edge():
-    o = clip_exact((-200, 75, 200, 75), W)
+    o = ExactClipOutcome.of((-200, 75, 200, 75), W)
     assert o.accepted and o.grazing
     assert o.p1 == (Fraction(-100), Fraction(75))
     assert o.p2 == (Fraction(100), Fraction(75))
@@ -66,7 +66,7 @@ def test_degenerate_point_is_grazing(point, exact):
     # the closed window, which the cut makes [0, 1], and empty outside.
     conv = Fraction if exact else float
     x, y = map(conv, point)
-    o = clip_exact((x, y, x, y), tuple(map(conv, WF)))
+    o = ExactClipOutcome.of((x, y, x, y), tuple(map(conv, WF)))
     if -100 <= x <= 100 and -75 <= y <= 75:
         assert o.accepted and o.grazing
         assert o.p1 == o.p2 == (Fraction(x), Fraction(y))
@@ -76,16 +76,16 @@ def test_degenerate_point_is_grazing(point, exact):
 
 def test_corner_tangent_line_flags_grazing_on_reject():
     # Touches only the top-left corner; the segment stops short of it.
-    o = clip_exact((-175, 0, -150, 25), W)
+    o = ExactClipOutcome.of((-175, 0, -150, 25), W)
     assert not o.accepted and o.grazing
     # Same line, covering the corner: single-point accept.
-    o2 = clip_exact((-175, 0, -50, 125), W)
+    o2 = ExactClipOutcome.of((-175, 0, -50, 125), W)
     assert o2.accepted and o2.grazing
     assert o2.p1 == o2.p2 == (Fraction(-100), Fraction(75))
 
     def reject(seg, window, grazing):
         for s in (seg, (*seg[2:], *seg[:2])):  # both directions
-            o = clip_exact(s, window)
+            o = ExactClipOutcome.of(s, window)
             assert o == (grazing, None) and not o.accepted, s
 
     # Each corner's 45-degree tangent line, stopping short before the
@@ -126,7 +126,7 @@ def test_endpoint_on_boundary_is_grazing(end, grazing, first):
     # The other endpoint is inside, so the clip is the whole segment.
     other = (0.0, 0.0) if end[1] == 0.0 else (20.0, 30.0)
     seg = (*end, *other) if first else (*other, *end)
-    o = clip_exact(seg, WF)
+    o = ExactClipOutcome.of(seg, WF)
     assert o.accepted and o.grazing is grazing
     assert (*o.p1, *o.p2) == tuple(map(Fraction, seg))
 
@@ -137,7 +137,7 @@ def test_endpoint_on_an_edge_line_outside_the_window_is_not_grazing(end, first):
     # The clip starts or ends strictly inside the segment, so the
     # endpoint's edge equality must not count.
     seg = (*end, 20.0, 30.0) if first else (20.0, 30.0, *end)
-    o = clip_exact(seg, WF)
+    o = ExactClipOutcome.of(seg, WF)
     assert o.accepted and not o.grazing
 
 
@@ -196,16 +196,17 @@ def test_float_corner_tangent_rejects(corner, shift):
         # Shifting both x by one ulp moves the line exactly, off the corner.
         seg = (x1 + moved * ulp, y1, x2 + moved * ulp, y2)
         for s in (seg, (*seg[2:], *seg[:2])):
-            o = clip_exact(s, window)
+            o = ExactClipOutcome.of(s, window)
             assert not o.accepted
             assert o.grazing is (moved == 0)
-            assert o == clip_exact(
+            assert o == ExactClipOutcome.of(
                 tuple(map(Fraction, s)), tuple(map(Fraction, window))
             )
+            assert clip_exact(s, window) is (oracle.GRAZING if moved == 0 else None)
 
 
 def test_accepts_segment_and_window_objects():
-    o = clip_exact(Segment(-200, -200, 200, 200), ClipWindow(*W))
+    o = ExactClipOutcome.of(Segment(-200, -200, 200, 200), ClipWindow(*W))
     assert o.accepted
     assert o.p1 == (Fraction(-75), Fraction(-75))
 
@@ -260,7 +261,8 @@ def test_decimal_segment_matches_equal_fractions():
             as_decimals = clip_exact(tuple(Decimal(v) for v in seg), window)
             as_subclass = clip_exact(tuple(_FloatSubclass(v) for v in seg), window)
             assert as_decimals == as_subclass == as_fractions
-    o = clip_exact((Decimal("-200.5"), Decimal("0.1"), Decimal("200.25"), Decimal("0.1")), W)
+    o = ExactClipOutcome.of(
+        (Decimal("-200.5"), Decimal("0.1"), Decimal("200.25"), Decimal("0.1")), W)
     assert o.accepted and not o.grazing
     assert o.p1 == (Fraction(-100), Fraction(1, 10))
 
@@ -288,13 +290,15 @@ def test_float_inputs_match_fraction_inputs(shift, scale, monkeypatch):
     # Every random reject, trivially outside one side or not, is
     # certified in floats, so only the accepts reach the integer
     # interval test.
-    assert len(interval_tests) == sum(o.accepted for o in as_floats)
+    assert len(interval_tests) == sum(type(v) is tuple for v in as_floats)
     as_floats += [clip_exact(seg, window) for seg in segs[len(randoms):]]
-    assert as_floats == [clip_exact(tuple(map(Fraction, seg)), frac_window) for seg in segs]
+    assert [_verdict_bits(v) for v in as_floats] == [
+        _verdict(ExactClipOutcome.of(tuple(map(Fraction, seg)), frac_window)) for seg in segs
+    ]
 
 
 def test_outputs_are_reduced_rationals_with_positive_denominators():
-    o = clip_exact((-200.5, -199.25, 200.125, 201.75), W)
+    o = ExactClipOutcome.of((-200.5, -199.25, 200.125, 201.75), W)
     assert o.accepted
     for coord in (*o.p1, *o.p2):
         assert isinstance(coord, Fraction)
@@ -322,8 +326,8 @@ def exact_cases(draw):
 @given(exact_cases(), scales)
 def test_rescaling_invariance(case, scale):
     seg, window = case
-    base = clip_exact(seg, window)
-    scaled = clip_exact(
+    base = ExactClipOutcome.of(seg, window)
+    scaled = ExactClipOutcome.of(
         tuple(scale * v for v in seg), tuple(scale * v for v in window)
     )
     assert scaled.accepted == base.accepted
@@ -337,7 +341,7 @@ def test_rescaling_invariance(case, scale):
 @given(exact_cases())
 def test_self_consistency_and_parametric_order(case):
     seg, window = case
-    o = clip_exact(seg, window)
+    o = ExactClipOutcome.of(seg, window)
     if not o.accepted:
         return
     # Endpoints in parametric order: the direction from p1 to p2 must not
@@ -347,7 +351,7 @@ def test_self_consistency_and_parametric_order(case):
     rdx = o.p2[0] - o.p1[0]
     rdy = o.p2[1] - o.p1[1]
     assert rdx * dx + rdy * dy >= 0
-    again = clip_exact((*o.p1, *o.p2), window)
+    again = ExactClipOutcome.of((*o.p1, *o.p2), window)
     assert again.accepted
     assert again.p1 == o.p1
     assert again.p2 == o.p2
@@ -358,7 +362,7 @@ def test_self_consistency_and_parametric_order(case):
     st.tuples(*(st.floats(-960, 960, allow_nan=False, allow_infinity=False),) * 4)
 )
 def test_double_round_trip_error_is_at_most_one_ulp(seg):
-    o = clip_exact(seg, W)
+    o = ExactClipOutcome.of(seg, W)
     if not o.accepted:
         return
     # float(fraction) equals the n / d that run_verification compares with
@@ -371,7 +375,7 @@ def test_double_round_trip_error_is_at_most_one_ulp(seg):
 
 def test_outcome_endpoints_are_reduced_fraction_pairs_and_immutable():
     for seg in SUITE:
-        o = clip_exact(seg, W)
+        o = ExactClipOutcome.of(seg, W)
         if not o.accepted:
             assert o.p1 is None and o.p2 is None
             continue
@@ -381,18 +385,18 @@ def test_outcome_endpoints_are_reduced_fraction_pairs_and_immutable():
                 assert type(coord) is Fraction
                 assert coord.denominator > 0
                 assert math.gcd(coord.numerator, coord.denominator) == 1
-    o = clip_exact((-200.5, -199.25, 200.125, 201.75), W)
+    o = ExactClipOutcome.of((-200.5, -199.25, 200.125, 201.75), W)
     for name in ("accepted", "grazing", "p1", "p2", "ends", "extra"):
         with pytest.raises(AttributeError):
             setattr(o, name, None)
         with pytest.raises(AttributeError):
             delattr(o, name)
-    assert o.accepted and o.p1 == clip_exact((-200.5, -199.25, 200.125, 201.75), W).p1
+    assert o.accepted and o.p1 == ExactClipOutcome.of((-200.5, -199.25, 200.125, 201.75), W).p1
 
 
 def _verdict(outcome):
-    """The rounded verdict a reduced outcome stands for, each double as
-    its bit pattern."""
+    """The clip_exact verdict an exact outcome stands for, each double
+    as its bit pattern."""
     if outcome.grazing:
         return oracle.GRAZING
     if outcome.ends is None:
@@ -412,13 +416,13 @@ def test_equal_outcomes_are_equal_values_whatever_the_input_types():
         converts = [float, Fraction, lambda v: Decimal(float(v))]
         if all(float(v).is_integer() for v in seg):
             converts.append(lambda v: int(float(v)))
-        outcomes = [clip_exact(tuple(map(convert, seg)), W) for convert in converts]
+        outcomes = [ExactClipOutcome.of(tuple(map(convert, seg)), W) for convert in converts]
         assert outcomes[1:] == outcomes[:-1]
         assert len({hash(o) for o in outcomes}) == 1
-        # The rounded form gives every input type the verdict of the
-        # reduced outcome.
+        # clip_exact gives every input type the verdict of the reduced
+        # outcome.
         for convert in converts:
-            verdict = clip_exact(tuple(map(convert, seg)), W, rounded=True)
+            verdict = clip_exact(tuple(map(convert, seg)), W)
             assert _verdict_bits(verdict) == _verdict(outcomes[0]), (seg, convert)
         o = outcomes[0]
         # The same value as built from its integer endpoints, and hashed
@@ -428,13 +432,14 @@ def test_equal_outcomes_are_equal_values_whatever_the_input_types():
         assert hash(o) == hash((o.grazing, o.ends))
         assert o == (o.grazing, o.ends)
         assert pickle.loads(pickle.dumps(o)) == copy.copy(o) == o
-    assert clip_exact((-200, 0, 0, 200), W) != clip_exact((-200, -200, 200, 200), W)
-    assert clip_exact((5, 5, 5, 5), W) != clip_exact((6, 5, 6, 5), W)
-    assert repr(clip_exact((-200.0, -200.0, 0.0, 0.0), W)) == (
+    assert ExactClipOutcome.of((-200, 0, 0, 200), W) != ExactClipOutcome.of(
+        (-200, -200, 200, 200), W)
+    assert ExactClipOutcome.of((5, 5, 5, 5), W) != ExactClipOutcome.of((6, 5, 6, 5), W)
+    assert repr(ExactClipOutcome.of((-200.0, -200.0, 0.0, 0.0), W)) == (
         "ExactClipOutcome(accepted=True, grazing=False, "
         "p1=(Fraction(-75, 1), Fraction(-75, 1)), p2=(Fraction(0, 1), Fraction(0, 1)))"
     )
-    assert repr(clip_exact((-200, 0, 0, 200), W)) == (
+    assert repr(ExactClipOutcome.of((-200, 0, 0, 200), W)) == (
         "ExactClipOutcome(accepted=False, grazing=False, p1=None, p2=None)"
     )
 
@@ -443,10 +448,10 @@ def test_outcome_accepts_exactly_when_it_has_ends():
     # An outcome is (grazing, ends); accepted is derived from ends, so no
     # accept lacks endpoints and no reject carries them.
     assert ExactClipOutcome._fields == ("grazing", "ends")
-    accept = clip_exact((-200, -200, 200, 200), W)
+    accept = ExactClipOutcome.of((-200, -200, 200, 200), W)
     outcomes = [
-        oracle._REJECT, oracle._REJECT_GRAZING, accept,
-        oracle._REJECT._replace(ends=(1, 2, 1, 3, 4, 1)), accept._replace(ends=None),
+        ExactClipOutcome(False), ExactClipOutcome(True), accept,
+        ExactClipOutcome(False)._replace(ends=(1, 2, 1, 3, 4, 1)), accept._replace(ends=None),
     ]
     assert [o.accepted for o in outcomes] == [False, False, True, True, False]
     for o in outcomes:
@@ -463,17 +468,34 @@ def test_outcome_accepts_exactly_when_it_has_ends():
 @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6], ids=["x1e-6", "x1", "x1e6"])
 @pytest.mark.parametrize("shift", [0.0, 1e6, 1e8], ids=["0", "1e6", "1e8"])
 def test_float_ends_are_the_correctly_rounded_fractions(shift, scale):
-    # The rounded form divides the unreduced integers; correctly rounded
-    # int division gives the double of the reduced fraction.
+    # clip_exact divides the unreduced integers; correctly rounded int
+    # division gives the double of the reduced fraction.
     space = ClipWindow(*(v * scale + shift for v in (-960.0, -720.0, 960.0, 720.0)))
     window = ClipWindow(*(v * scale + shift for v in WF))
     randoms, _ = _materialize(13, space, 3000)
     accepts = 0
     for seg in randoms + adversarial_segments(window):
-        o = clip_exact(seg, window)
-        assert _verdict_bits(clip_exact(seg, window, rounded=True)) == _verdict(o)
+        o = ExactClipOutcome.of(seg, window)
+        assert _verdict_bits(clip_exact(seg, window)) == _verdict(o)
         accepts += o.accepted
     assert accepts > 300
+
+
+def test_exact_outcome_never_runs_the_float_filter(monkeypatch):
+    # The exact record is the reference the float filter is checked
+    # against, so it must come from the integer path alone.
+    randoms, _ = _materialize(19, ClipWindow(-960.0, -720.0, 960.0, 720.0), 2000)
+    segs = SUITE + randoms
+    verdicts = [_verdict_bits(clip_exact(seg, WF)) for seg in segs]
+
+    def no_filter(*args):
+        raise AssertionError("the float filter ran")
+
+    monkeypatch.setattr(oracle, "_certified_plain_reject", no_filter)
+    with pytest.raises(AssertionError, match="the float filter ran"):
+        clip_exact(randoms[0], WF)
+    for window in (WF, _ExactWindow(WF)):
+        assert [_verdict(ExactClipOutcome.of(seg, window)) for seg in segs] == verdicts
 
 
 def test_prepared_window_rejects_bad_bounds():
@@ -617,3 +639,8 @@ def test_unrolled_certified_reject_matches_the_loop_form(shift, scale):
         results.append(got)
     # Both answers occur, so the comparison is not vacuous.
     assert True in results and False in results
+    # Through clip_exact, each finite edge input gets the exact verdict.
+    edges = [(seg, window) for seg in _predicate_edge_cases(window)] + _underflow_guard_cases()
+    for seg, w in edges:
+        if all(map(math.isfinite, seg)):
+            assert _verdict_bits(clip_exact(seg, w)) == _verdict(ExactClipOutcome.of(seg, w)), seg

@@ -12,7 +12,7 @@ from clipbench.bench import _materialize
 from clipbench.clippers import KERNELS, AlgorithmId
 from clipbench.clippers.skala import EDGE_TABLE, clip_coords as skala_clip
 from clipbench.geom import ClipWindow, require_window_in_space
-from clipbench.oracle import clip_exact
+from clipbench.oracle import ExactClipOutcome, clip_exact
 from clipbench.verify import (
     AlgorithmCheck,
     VerificationReport,
@@ -66,7 +66,7 @@ def _row_wise_report(cases, seed, space, window, kernels):
     failures = {a: [] for a in AlgorithmId}
     random_grazing = 0
     for idx, seg in enumerate(random_buf + suite):
-        exact = clip_exact(seg, window)
+        exact = ExactClipOutcome.of(seg, window)
         random_grazing += exact.grazing and idx < cases
         for a in AlgorithmId:
             res = kernel_map[a](*seg, *window)
@@ -117,7 +117,7 @@ def test_nan_endpoints_never_match():
     report = run_verification(2000, 1, SPACE, WINDOW, kernels=kernels)
     stream, _ = _materialize(1, SPACE, 2000)
     cases = stream + adversarial_segments(WINDOW)
-    accepts = sum(clip_exact(seg, WINDOW).accepted for seg in cases)
+    accepts = sum(ExactClipOutcome.of(seg, WINDOW).accepted for seg in cases)
     nan = report.checks[-1]
     assert nan.algorithm is AlgorithmId.PROPOSED
     assert (nan.matches, nan.grazing_exempt, nan.mismatches) == (len(cases) - accepts, 0, accepts)
@@ -209,19 +209,16 @@ def test_sweep_generates_the_stream_one_block_at_a_time(cases, monkeypatch):
 def test_sweep_calls_the_oracle_by_name_once_per_case(cases, monkeypatch):
     # perfbench traces the oracle layer by wrapping verify.clip_exact, so
     # the sweep must call that module-level name once per case, with one
-    # window prepared for the whole sweep, for rounded verdicts.
+    # window prepared for the whole sweep.
     windows = []
-    asked = []
 
-    def counting(seg, window, rounded=False):
+    def counting(seg, window):
         windows.append(window)
-        asked.append(rounded)
-        return clip_exact(seg, window, rounded)
+        return clip_exact(seg, window)
 
     monkeypatch.setattr(verify, "clip_exact", counting)
     report = run_verification(cases, 5, SPACE, WINDOW)
     assert len(windows) == cases + len(adversarial_segments(WINDOW))
-    assert all(r is True for r in asked)
     assert type(windows[0]) is oracle._ExactWindow
     assert all(w is windows[0] for w in windows)
     assert windows[0].bounds == WINDOW
@@ -266,7 +263,7 @@ def test_no_outcome_flips_and_endpoints_within_64_window_ulps(shift):
         ulp = math.ulp(max(map(abs, window)))
         exact_window = oracle._ExactWindow(window)
         for seg in [move(s) for s in base] + adversarial_segments(window):
-            ends = clip_exact(seg, exact_window, rounded=True)
+            ends = clip_exact(seg, exact_window)
             if ends is oracle.GRAZING:
                 continue
             for algo, kernel in KERNELS.items():
@@ -297,7 +294,7 @@ def test_no_outcome_flips_for_segments_up_to_2_50_times_the_window():
             angle = rng.uniform(0.0, 2.0 * math.pi)
             dx, dy = math.ldexp(math.cos(angle), k), math.ldexp(math.sin(angle), k)
             seg = (px - dx, py - dy, px + dx, py + dy)
-            exact = clip_exact(seg, exact_window)
+            exact = ExactClipOutcome.of(seg, exact_window)
             if exact.grazing:
                 continue
             for algo, kernel in KERNELS.items():
@@ -360,10 +357,10 @@ def test_near_edge_family_tallies_are_pinned(shift):
     grazing = accepts = 0
     for seg in _near_edge_segments(5, space, window, 5000):
         # Most of these cases take the integer path, which the random
-        # stream rarely reaches: the rounded verdict must be the reduced
+        # stream rarely reaches: clip_exact's verdict must be the exact
         # outcome's, bit for bit.
-        verdict = clip_exact(seg, exact_window, rounded=True)
-        exact = clip_exact(seg, exact_window)
+        verdict = clip_exact(seg, exact_window)
+        exact = ExactClipOutcome.of(seg, exact_window)
         if exact.grazing:
             assert verdict is oracle.GRAZING
             grazing += 1
@@ -409,7 +406,7 @@ def test_pairwise_agreement_on_non_grazing_cases():
     cases = buf + adversarial_segments(WINDOW)
     disagreements = []
     for seg in cases:
-        exact = clip_exact(seg, WINDOW)
+        exact = ExactClipOutcome.of(seg, WINDOW)
         if exact.grazing:
             continue
         results = {a: KERNELS[a](*seg, *WINDOW) for a in AlgorithmId}
@@ -502,7 +499,7 @@ def test_witnesses_cover_all_realizable_masks():
 
 def test_skala_agrees_with_oracle_on_every_mask_witness():
     for mask, seg in witness_segments(WINDOW).items():
-        exact = clip_exact(seg, WINDOW)
+        exact = ExactClipOutcome.of(seg, WINDOW)
         got = skala_clip(*seg, *WINDOW)
         if exact.grazing:
             continue

@@ -29,9 +29,9 @@ assert not loaded, f"loaded at start-up: {loaded}"
 from fractions import Fraction
 
 from clipbench.geom import ClipWindow
-from clipbench.oracle import clip_exact
+from clipbench.oracle import ExactClipOutcome
 
-outcome = clip_exact((-200.0, 0.5, 200.0, 0.5), ClipWindow(-100.0, -75.0, 100.0, 75.0))
+outcome = ExactClipOutcome.of((-200.0, 0.5, 200.0, 0.5), ClipWindow(-100.0, -75.0, 100.0, 75.0))
 assert outcome.accepted
 assert outcome.p1 == (Fraction(-100), Fraction(1, 2)), outcome.p1
 assert [type(v) for v in outcome.p1] == [Fraction, Fraction], outcome.p1
