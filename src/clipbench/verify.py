@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from itertools import chain, repeat
-from math import fsum, hypot, isfinite
+from math import fsum, hypot, isfinite, ulp
 
 from .bench import _materialize, require_seed
 from .clippers import KERNELS, AlgorithmId
@@ -104,14 +104,14 @@ def adversarial_segments(window: ClipWindow) -> list[tuple[float, float, float, 
     ):
         cases.append((ax, ay, bx, by))
 
-    # Corner grazing: tangent diagonals touching exactly one corner, in
-    # both directions.  A half-extent step that rounds against the corner
-    # would miss it, so it becomes |p|, or the extent at p = 0: exact sums.
+    # Corner grazing: tangent diagonals touching exactly one corner, in both
+    # directions.  p +- step stays exact: half extent t is fl(|p| + t) - |p|
+    # (Sterbenz) if |p| >= t, else t if exact, else |p|, or the extent at 0.
     def step(p, s, extent):
-        d = s * extent / 2.0
-        if fsum((p, d, -(p + d))) or fsum((p, -d, -(p - d))):
-            return s * (abs(p) or extent)
-        return d
+        a, t = abs(p), max(extent / 2.0, ulp(p))
+        if a < t and (fsum((a, t, -(a + t))) or fsum((a, -t, -(a - t)))):
+            t = a or extent
+        return s * ((a + t) - a if a >= t else t)
 
     for (px, py), (sx, sy) in zip(corners, ((-1, 1), (1, 1), (1, -1), (-1, -1))):
         dxv = step(px, sx, w)

@@ -462,7 +462,13 @@ def test_verify_window_scaled_by_1e_minus_6_in_exponent_form(capsys):
     ((-100.1, -75.3, 100.7, 75.9), None),
     ((0.001, 0.002, 0.007, 0.011), (0.0, 0.0, 1.0, 1.0)),
     ((0.0, 0.0, 1e-150, 1e-150), (0.0, 0.0, 1.0, 1.0)),
-], ids=["w-rounds", "px-rounds", "1e-150"])
+    # Small windows far from the origin: a step of |p| would make the
+    # diagonal about |p| / w times the window, and kernel rounding on it
+    # would leave the padded window.
+    ((1e8 + 0.1, 1e8 + 0.2, 1e8 + 0.7, 1e8 + 0.9), (99999000.0, 99999000.0, 100001000.0, 100001000.0)),
+    ((-99999999.9, -99999999.8, -99999999.3, -99999999.1),
+     (-100001000.0, -100001000.0, -99999000.0, -99999000.0)),
+], ids=["w-rounds", "px-rounds", "1e-150", "far-1e8", "far-neg-1e8"])
 def test_verify_corner_tangents_touch_their_corner_where_half_extents_round(
         capsys, window, space):
     # At these windows w / 2 or px +- w / 2 rounds, and a tangent diagonal
@@ -487,6 +493,9 @@ def test_verify_corner_tangents_touch_their_corner_where_half_extents_round(
     ]
     assert len(tangents) == 8
     assert all(ExactClipOutcome.of(seg, window).grazing for seg in tangents)
+    # On the window's scale: no longer than twice its extent on either axis.
+    assert all(abs(seg[2] - seg[0]) <= 2 * (x1 - x0) and abs(seg[3] - seg[1]) <= 2 * (y1 - y0)
+               for seg in tangents)
 
 
 def test_verify_negative_cases_exits_2(capsys):

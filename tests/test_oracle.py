@@ -233,9 +233,13 @@ SUITE = adversarial_segments(ClipWindow(*W)) + [
 def test_window_forms_give_the_same_outcomes(bounds, form):
     # Equal bounds lift to the same integers whatever their types; compare
     # this form against the plain tuple twice, each call lifting afresh.
-    got = [clip_exact(seg, form(bounds)) for seg in SUITE]
-    assert got == [clip_exact(seg, bounds) for seg in SUITE]
-    assert got == [clip_exact(seg, bounds) for seg in SUITE]
+    got = [ExactClipOutcome.of(seg, form(bounds)) for seg in SUITE]
+    assert got == [ExactClipOutcome.of(seg, bounds) for seg in SUITE]
+    assert got == [ExactClipOutcome.of(seg, bounds) for seg in SUITE]
+    # clip_exact, float filter and all, gives each form those verdicts.
+    assert [_verdict_bits(clip_exact(seg, form(bounds))) for seg in SUITE] == [
+        _verdict(o) for o in got
+    ]
 
 
 def test_many_windows_give_repeatable_outcomes():
@@ -246,10 +250,13 @@ def test_many_windows_give_repeatable_outcomes():
     segs = SUITE[::5]
     first = {}
     for w in windows:
-        first[w] = [clip_exact(seg, w) for seg in segs]
+        first[w] = [ExactClipOutcome.of(seg, w) for seg in segs]
     for _ in range(2):
         for w in windows:
-            assert [clip_exact(seg, w) for seg in segs] == first[w]
+            assert [ExactClipOutcome.of(seg, w) for seg in segs] == first[w]
+            assert [_verdict_bits(clip_exact(seg, w)) for seg in segs] == [
+                _verdict(o) for o in first[w]
+            ]
 
 
 def test_decimal_segment_matches_equal_fractions():
@@ -257,10 +264,12 @@ def test_decimal_segment_matches_equal_fractions():
     # skips the float reject path; both must match the Fractions.
     for window in (W, WF):
         for seg in SUITE:
-            as_fractions = clip_exact(tuple(Fraction(v) for v in seg), window)
-            as_decimals = clip_exact(tuple(Decimal(v) for v in seg), window)
-            as_subclass = clip_exact(tuple(_FloatSubclass(v) for v in seg), window)
+            forms = [tuple(convert(v) for v in seg) for convert in (Fraction, Decimal, _FloatSubclass)]
+            as_fractions, as_decimals, as_subclass = (
+                ExactClipOutcome.of(form, window) for form in forms)
             assert as_decimals == as_subclass == as_fractions
+            for form in forms:
+                assert _verdict_bits(clip_exact(form, window)) == _verdict(as_fractions)
     o = ExactClipOutcome.of(
         (Decimal("-200.5"), Decimal("0.1"), Decimal("200.25"), Decimal("0.1")), W)
     assert o.accepted and not o.grazing
@@ -531,9 +540,11 @@ def test_prepared_window_gives_the_outcomes_of_its_bounds():
     ):
         prepared = _ExactWindow(bounds)
         assert prepared.floats is floats
-        assert [clip_exact(seg, prepared) for seg in SUITE] == [
-            clip_exact(seg, bounds) for seg in SUITE
-        ]
+        outcomes = [ExactClipOutcome.of(seg, bounds) for seg in SUITE]
+        assert [ExactClipOutcome.of(seg, prepared) for seg in SUITE] == outcomes
+        assert [_verdict_bits(clip_exact(seg, prepared)) for seg in SUITE] == [
+            _verdict_bits(clip_exact(seg, bounds)) for seg in SUITE
+        ] == [_verdict(o) for o in outcomes]
 
 
 _LOOP_ERRBOUND = (3.0 + 16.0 * 2.0**-53) * 2.0**-53
