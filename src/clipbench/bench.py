@@ -23,6 +23,7 @@ import sys
 import time
 from collections import namedtuple
 from itertools import compress
+from math import inf
 
 # hashlib binds blake2b to this same builtin object, but importing
 # hashlib also loads OpenSSL, which nothing here uses.
@@ -67,6 +68,14 @@ def require_seed(seed: int) -> None:
         raise ValueError(f"seed must be an int, got {seed!r}")
     if not (0 <= seed <= MASK64):
         raise ValueError("seed must fit in 64 bits")
+
+
+def _require_count(name: str, value: int, minimum: int) -> None:
+    """Raise ValueError unless ``value`` is an int (not a bool) >= ``minimum``."""
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an int, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}")
 
 
 # One block of the stream is one int of 128-bit lanes, one lane per
@@ -156,13 +165,8 @@ class BenchConfig(namedtuple(
         space, window, lines, reps, seed, algorithms = super().__new__(cls, *args, **kwargs)
         self = super().__new__(cls, ClipWindow(*space), ClipWindow(*window), lines, reps, seed,
                                tuple(AlgorithmId(a) for a in algorithms))
-        for name, value in (("lines_per_run", lines), ("repetitions", reps)):
-            if type(value) is not int:
-                raise ValueError(f"{name} must be an int, got {value!r}")
-        if self.lines_per_run < 1:
-            raise ValueError("lines_per_run must be >= 1")
-        if self.repetitions < 1:
-            raise ValueError("repetitions must be >= 1")
+        _require_count("lines_per_run", lines, 1)
+        _require_count("repetitions", reps, 1)
         require_seed(self.seed)
         require_window_in_space(self.window, self.space)
         if not self.algorithms:
@@ -175,9 +179,23 @@ class BenchConfig(namedtuple(
 
 
 class RunTiming(namedtuple("RunTiming", "algorithm run_index seconds accepted_count checksum")):
-    """One timed pass of one algorithm over the full segment stream."""
+    """One timed pass of one algorithm over the full segment stream,
+    checked however it is built: ValueError unless ``run_index`` >= 1 and
+    ``accepted_count`` >= 0 are ints (not bools), ``seconds`` is a finite
+    int or float >= 0 and ``checksum`` an int in [0, 2^64)."""
 
     __slots__ = ()
+
+    def __new__(cls, algorithm, run_index, seconds, accepted_count, checksum) -> "RunTiming":
+        _require_count("run_index", run_index, 1)
+        _require_count("accepted_count", accepted_count, 0)
+        if type(seconds) not in (int, float) or not 0 <= seconds < inf:
+            raise ValueError(f"seconds must be a finite int or float >= 0, got {seconds!r}")
+        if type(checksum) is not int or not 0 <= checksum <= MASK64:
+            raise ValueError(f"checksum must be an int in [0, 2**64), got {checksum!r}")
+        return super().__new__(cls, algorithm, run_index, seconds, accepted_count, checksum)
+
+    _make = classmethod(_checked_make)
 
 
 class BenchInvariantError(RuntimeError):

@@ -18,7 +18,7 @@ lines that touch the closed window in exactly one point.
 non-grazing reject, ``GRAZING`` for every grazing case, and otherwise
 the accept's four coordinates as ``n / d`` of its unreduced integers,
 which is the nearest double because int true division is correctly
-rounded; it builds no outcome and takes no gcd.
+rounded; it builds no outcome and no ``Fraction``.
 ``ExactClipOutcome.of(seg, window)`` builds the exact record from the
 integer path alone, never the float filter below.  Every value stays
 exact up to one final rounding, so the oracle shares no arithmetic with
@@ -48,18 +48,17 @@ unbounded inside the closed window and empty outside it, and a cut at
 t = 0 or t = 1 already puts that endpoint in the closed window, so
 neither needs a branch of its own.
 
-An outcome is the pair ``(grazing, ends)``.  An accept keeps its
-endpoints as integers: two numerators over one positive denominator per
-endpoint, divided by their common gcd.  A reject has no endpoints, so
-``accepted`` is derived, ``ends is not None``, and no outcome can be an
-accept without endpoints or a reject with them.  ``p1`` and ``p2``
-build reduced ``Fraction`` pairs from the endpoints when read.
+An outcome is the pair ``(grazing, ends)``.  An accept's ``ends`` is
+the clip in the kernels' segment form, ``(x1, y1, x2, y2)``, as four
+``Fraction``s.  A reject has no ends, so ``accepted`` is derived,
+``ends is not None``, and no outcome can be an accept without endpoints
+or a reject with them.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from math import gcd, inf, lcm
+from math import inf, lcm
 
 from .geom import _checked_make
 
@@ -70,28 +69,23 @@ GRAZING = object()
 
 
 class ExactClipOutcome(namedtuple("ExactClipOutcome", "grazing ends", defaults=(None,))):
-    """The grazing flag, plus an accept's exact rational endpoints.
+    """The grazing flag, plus an accept's exact clip.
 
-    An accept's ``ends = (x1, y1, d1, x2, y2, d2)`` holds integer
-    numerators over two denominators, endpoint i at ``(xi / di, yi / di)``;
-    a reject has ``ends=None``.  ``accepted`` is ``ends is not None``.
-    Both denominators must be positive, or ValueError is raised, and each
-    endpoint is reduced by ``gcd(xi, yi, di)`` however the outcome is
-    built, which makes its integer form unique, so outcomes compare and
-    hash as tuples by exact value.  ``p1`` and ``p2`` build reduced
-    ``Fraction`` pairs from ``ends`` when read, and are None on a reject.
+    An accept's ``ends = (x1, y1, x2, y2)`` is the clipped segment in
+    ``clip``'s order; a reject has ``ends=None``, and ``accepted`` is
+    ``ends is not None``.  However the outcome is built, ``ends`` must
+    hold exactly four coordinates, each made an exact ``Fraction`` in
+    lowest terms, so outcomes compare and hash as tuples by exact value.
     """
 
     __slots__ = ()
 
     def __new__(cls, grazing: bool, ends: tuple | None = None):
         if ends is not None:
-            x1, y1, d1, x2, y2, d2 = ends
-            if not (d1 > 0 and d2 > 0):
-                raise ValueError(f"ends denominators must be positive, got {d1!r} and {d2!r}")
-            g1 = gcd(x1, y1, d1)
-            g2 = gcd(x2, y2, d2)
-            ends = x1 // g1, y1 // g1, d1 // g1, x2 // g2, y2 // g2, d2 // g2
+            from fractions import Fraction
+
+            x1, y1, x2, y2 = ends
+            ends = Fraction(x1), Fraction(y1), Fraction(x2), Fraction(y2)
         return super().__new__(cls, grazing, ends)
 
     @classmethod
@@ -101,27 +95,16 @@ class ExactClipOutcome(namedtuple("ExactClipOutcome", "grazing ends", defaults=(
         x1, y1, x2, y2 = seg
         if type(window) is not _ExactWindow:
             window = _ExactWindow(window)
-        return cls(*_clip_ints(x1, y1, x2, y2, window))
+        grazing, ends = _clip_ints(x1, y1, x2, y2, window)
+        if ends is not None:
+            from fractions import Fraction
+
+            x1n, y1n, d1, x2n, y2n, d2 = ends
+            ends = Fraction(x1n, d1), Fraction(y1n, d1), Fraction(x2n, d2), Fraction(y2n, d2)
+        return cls(grazing, ends)
 
     accepted = property(lambda self: self.ends is not None)
     _make = classmethod(_checked_make)
-
-    def _point(self, i: int) -> tuple[Fraction, Fraction] | None:
-        if self.ends is None:
-            return None
-        from fractions import Fraction
-
-        x, y, d = self.ends[i:i + 3]
-        return Fraction(x, d), Fraction(y, d)
-
-    p1 = property(lambda self: self._point(0))
-    p2 = property(lambda self: self._point(3))
-
-    def __repr__(self) -> str:
-        return (
-            f"ExactClipOutcome(accepted={self.accepted!r}, grazing={self.grazing!r}, "
-            f"p1={self.p1!r}, p2={self.p2!r})"
-        )
 
 
 # Shewchuk's stage-A error bound for a float orient2d determinant,
@@ -276,8 +259,9 @@ def _certified_plain_reject(x1, y1, x2, y2, xmin, ymin, xmax, ymax) -> bool:
 
 
 def _clip_ints(x1, y1, x2, y2, window: _ExactWindow) -> tuple[bool, tuple | None]:
-    """The integer path: ``(grazing, ends)`` with ``ends`` unreduced, or
-    None on a reject, as ``ExactClipOutcome`` takes them."""
+    """The integer path: ``(grazing, ends)``, with ``ends`` None on a
+    reject and otherwise the unreduced integers ``(x1, y1, d1, x2, y2,
+    d2)``, endpoint i at ``(xi / di, yi / di)``."""
     x1n, x1d = x1.as_integer_ratio()
     y1n, y1d = y1.as_integer_ratio()
     x2n, x2d = x2.as_integer_ratio()

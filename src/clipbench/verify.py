@@ -24,7 +24,7 @@ from collections import namedtuple
 from itertools import chain, repeat
 from math import fsum, hypot, isfinite, ulp
 
-from .bench import _materialize, require_seed
+from .bench import _materialize, _require_count, require_seed
 from .clippers import KERNELS, AlgorithmId
 from .geom import ClipWindow, require_window_in_space
 from .oracle import GRAZING, _ExactWindow, clip_exact
@@ -200,10 +200,7 @@ def run_verification(
     """
     space = ClipWindow(*space)
     window = ClipWindow(*window)
-    if type(cases) is not int:
-        raise ValueError(f"cases must be an int, got {cases!r}")
-    if cases < 0:
-        raise ValueError("cases must be >= 0")
+    _require_count("cases", cases, 0)
     require_seed(seed)
     if not (isfinite(tolerance) and tolerance >= 0):
         raise ValueError(f"tolerance must be finite and >= 0, got {tolerance!r}")

@@ -160,7 +160,7 @@ def test_criterion_5_skala_mask_validation():
         if exact.grazing:
             continue
         if exact.accepted:
-            expected = tuple(float(v) for v in (*exact.p1, *exact.p2))
+            expected = tuple(float(v) for v in exact.ends)
             assert got is not None and got == pytest.approx(expected, abs=1e-9), (mask, seg)
         else:
             assert got is None, (mask, seg)

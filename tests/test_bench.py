@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import pickle
 import struct
 
@@ -23,6 +24,7 @@ from clipbench.bench import (
 from clipbench.clippers import KERNELS, AlgorithmId
 from clipbench.geom import ClipWindow
 from clipbench.oracle import ExactClipOutcome
+from clipbench.verify import run_verification
 
 import reference_timings as ref
 
@@ -219,6 +221,26 @@ def test_config_rejects_bad_fields_on_every_construction_path(name, bad, path):
     }[path]
     with pytest.raises(ValueError):
         build()
+
+
+def test_count_checks_name_the_field_alone():
+    # One helper checks every count; a single bad field gives its own
+    # message, word for word.
+    for build, message in (
+        (lambda: BenchConfig(lines_per_run=0), "lines_per_run must be >= 1"),
+        (lambda: BenchConfig(lines_per_run=5.5), "lines_per_run must be an int, got 5.5"),
+        (lambda: BenchConfig(repetitions=0), "repetitions must be >= 1"),
+        (lambda: BenchConfig(repetitions=True), "repetitions must be an int, got True"),
+        (lambda: run_verification(-1, 1, SPACE, WINDOW), "cases must be >= 0"),
+        (lambda: run_verification(2.0, 1, SPACE, WINDOW), "cases must be an int, got 2.0"),
+        (lambda: RunTiming(AlgorithmId.KWC, 0, 0.0, 0, 0), "run_index must be >= 1"),
+        (lambda: RunTiming(AlgorithmId.KWC, 1, 0.0, -1, 0), "accepted_count must be >= 0"),
+        (lambda: RunTiming(AlgorithmId.KWC, 1, 0.0, 1.0, 0),
+         "accepted_count must be an int, got 1.0"),
+    ):
+        with pytest.raises(ValueError) as raised:
+            build()
+        assert str(raised.value) == message
 
 
 def test_config_and_report_pickle_and_are_immutable():
@@ -524,6 +546,12 @@ def _set(row, key, value):
     row[key] = value
 
 
+def _set_every(doc, key, value):
+    # On every row, so the report's agreement checks still hold.
+    for row in doc["timings"]:
+        row[key] = value
+
+
 @pytest.mark.parametrize("error, edit", [
     (ValueError, lambda doc, rows: rows["CS", 2].update(rows["CS", 1])),
     (ValueError, lambda doc, rows: doc["timings"].append(dict(rows["CS", 1]))),
@@ -534,8 +562,18 @@ def _set(row, key, value):
     (BenchInvariantError, lambda doc, rows: _set(rows["Proposed", 1], "accepted", 0)),
     (BenchInvariantError, lambda doc, rows: _set(rows["CS", 2], "checksum", 1)),
     (KeyError, lambda doc, rows: doc["config"].pop("seed")),
+    (ValueError, lambda doc, rows: _set(rows["CS", 2], "seconds", math.inf)),
+    (ValueError, lambda doc, rows: _set(rows["CS", 2], "seconds", -1.0)),
+    (ValueError, lambda doc, rows: _set(rows["CS", 1], "run", 1.0)),
+    (ValueError, lambda doc, rows: _set(rows["CS", 1], "run", True)),
+    (ValueError, lambda doc, rows: _set_every(doc, "accepted", -1)),
+    (ValueError, lambda doc, rows: _set_every(doc, "accepted", 2.0)),
+    (ValueError, lambda doc, rows: _set_every(doc, "checksum", -1)),
+    (ValueError, lambda doc, rows: _set_every(doc, "checksum", 2**64)),
 ], ids=["duplicate-run", "extra-run", "missing-run", "foreign-algorithm", "run-7-of-2",
-        "lowercase-algorithm", "accepted-count", "checksum", "missing-config-key"])
+        "lowercase-algorithm", "accepted-count", "checksum", "missing-config-key",
+        "infinite-seconds", "negative-seconds", "float-run", "bool-run", "negative-accepted",
+        "float-accepted", "negative-checksum", "checksum-past-64-bits"])
 def test_parse_report_rejects_an_edited_report(report_json, error, edit):
     with pytest.raises(error):
         parse_report(_edited(report_json, edit))

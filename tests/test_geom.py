@@ -1,14 +1,18 @@
 import math
 import pickle
+from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 
+from clipbench.bench import RunTiming
 from clipbench.clippers import AlgorithmId
 from clipbench.geom import ClipWindow, Segment, require_window_in_space
 from clipbench.oracle import ExactClipOutcome
 from clipbench.verify import AlgorithmCheck
 
 W = ClipWindow(-100, -75, 100, 75)
+TIMING = RunTiming(AlgorithmId.KWC, 1, 0.25, 3, 2**64 - 1)
 
 
 def test_window_in_space_is_boundary_inclusive():
@@ -65,8 +69,16 @@ BAD_FIELDS = [
     (W, "xmax", -200.0),  # swapped
     (W, "ymin", 75.0),  # zero height
     (W, "xmin", -math.inf),
-    (ExactClipOutcome(False, (1, 2, 1, 1, 2, 3)), "ends", (1, 2, -1, 1, 2, 3)),
-    (ExactClipOutcome(False, (1, 2, 1, 1, 2, 3)), "ends", (1, 2, 1, 1, 2, 0)),
+    (ExactClipOutcome(False, (1, 2, 1, 3)), "ends", (1, 2, 1)),
+    (ExactClipOutcome(False, (1, 2, 1, 3)), "ends", (1, 2, 1, 3, 0)),
+    (ExactClipOutcome(False, (1, 2, 1, 3)), "ends", (1, 2, math.nan, 3)),
+    *((TIMING, name, bad) for name, bad in (
+        ("run_index", 0), ("run_index", 1.0), ("run_index", True),
+        ("seconds", math.inf), ("seconds", math.nan), ("seconds", -0.5), ("seconds", "0.5"),
+        ("seconds", False), ("accepted_count", -1), ("accepted_count", 3.0),
+        ("accepted_count", False), ("checksum", -1), ("checksum", 2**64), ("checksum", 7.0),
+        ("checksum", True),
+    )),
 ]
 
 
@@ -85,7 +97,7 @@ def test_bad_record_raises_on_every_construction_path(good, name, bad, path):
 
 @pytest.mark.parametrize("value", [
     Segment(0, 1, 2, 3), W,
-    ExactClipOutcome(False, (2, 4, 2, 3, 6, 9)),
+    ExactClipOutcome(False, (Fraction(1, 2), 2, 0.25, Decimal("3.5"))),
     AlgorithmCheck(AlgorithmId.KWC, 1, 2, 3, (((0.0, 1.0, 2.0, 3.0), "reason"),)),
 ])
 def test_record_pickles_and_is_immutable(value):
@@ -98,14 +110,18 @@ def test_record_pickles_and_is_immutable(value):
 
 
 def test_outcome_ends_are_in_lowest_terms_on_every_construction_path():
-    # Each endpoint (x, y, d) is divided by gcd(x, y, d), so equal values
-    # have equal fields and tuple equality is equality by exact value.
-    outcome = ExactClipOutcome(False, (2, 4, 2, 3, 6, 9))
-    reduced = (1, 2, 1, 1, 2, 3)
-    assert outcome.ends == reduced
-    assert ExactClipOutcome._make((False, (2, 4, 2, 3, 6, 9))).ends == reduced
-    assert ExactClipOutcome(False)._replace(ends=(2, 4, 2, 3, 6, 9)).ends == reduced
-    assert outcome == ExactClipOutcome(False, reduced) == (False, reduced)
+    # Every coordinate becomes an exact Fraction, which keeps itself in
+    # lowest terms with a positive denominator, so equal values have
+    # equal fields and tuple equality is equality by exact value.
+    mixed = (6, -0.75, Decimal("-2.50"), Fraction(-6, -4))
+    plain = (Fraction(6), Fraction(-3, 4), Fraction(-5, 2), Fraction(3, 2))
+    for outcome in (ExactClipOutcome(False, mixed), ExactClipOutcome._make((False, mixed)),
+                    ExactClipOutcome(True)._replace(grazing=False, ends=mixed)):
+        assert [type(v) for v in outcome.ends] == [Fraction] * 4
+        for v, p in zip(outcome.ends, plain):
+            assert (v.numerator, v.denominator) == (p.numerator, p.denominator)
+        assert outcome == ExactClipOutcome(False, plain) == (False, plain)
+        assert hash(outcome) == hash((False, plain)) == hash((False, (6, -0.75, -2.5, 1.5)))
 
 
 def test_records_unpack_and_compare_as_tuples():

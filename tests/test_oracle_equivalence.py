@@ -83,7 +83,7 @@ def _row_wise_report(cases, seed, space, window, kernels):
                     failures[a].append((seg, "accepts where the exact clipper rejects"))
             elif res is None:
                 failures[a].append((seg, "rejects where the exact clipper accepts"))
-            elif not all(abs(r - float(e)) <= 1e-9 for r, e in zip(res, (*exact.p1, *exact.p2))):
+            elif not all(abs(r - float(e)) <= 1e-9 for r, e in zip(res, exact.ends)):
                 failures[a].append((seg, "accepted endpoints differ from the exact clip"))
             else:
                 matches[a] += 1
@@ -366,7 +366,7 @@ def test_near_edge_family_tallies_are_pinned(shift):
             grazing += 1
             continue
         if exact.accepted:
-            assert [v.hex() for v in verdict] == [float(v).hex() for v in (*exact.p1, *exact.p2)]
+            assert [v.hex() for v in verdict] == [float(v).hex() for v in exact.ends]
             accepts += 1
         else:
             assert verdict is None
@@ -505,7 +505,7 @@ def test_skala_agrees_with_oracle_on_every_mask_witness():
             continue
         if exact.accepted:
             assert got is not None, (mask, seg)
-            expected = tuple(float(v) for v in (*exact.p1, *exact.p2))
+            expected = tuple(float(v) for v in exact.ends)
             assert got == pytest.approx(expected, abs=1e-9), (mask, seg)
         else:
             assert got is None, (mask, seg)

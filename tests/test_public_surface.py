@@ -2,7 +2,7 @@
 
 Every exported name is used by a clipper, the bench or verify harness,
 the CLI or the documented library entry points.  A new export has to be
-added here on purpose.  The README's library example runs as written.
+added here on purpose.  The README's library examples run as written.
 """
 
 import pathlib
@@ -48,9 +48,14 @@ def test_clippers_surface_is_pinned():
 
 def test_readme_library_example_returns_floats():
     readme = (pathlib.Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
-    library = readme[readme.index("## Library"):]
-    block = library[library.index("```python\n") + len("```python\n"):]
-    namespace = {}
-    exec(block[:block.index("```")], namespace)
-    result = namespace["result"]
+    library = readme[readme.index("## Library\n"):]
+    library = library[:library.index("\n## ")]
+    # Every python block, each in a namespace of its own, as a reader
+    # would paste it; the first clips with a kernel.
+    blocks = [part.split("```")[0] for part in library.split("```python\n")[1:]]
+    assert len(blocks) >= 2, blocks
+    namespaces = [{} for _ in blocks]
+    for block, namespace in zip(blocks, namespaces):
+        exec(block, namespace)
+    result = namespaces[0]["result"]
     assert [type(v) for v in result] == [float] * 4, result

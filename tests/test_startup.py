@@ -2,9 +2,10 @@
 
 ``hashlib`` (which loads OpenSSL), ``fractions``, ``decimal``,
 ``typing``, ``dataclasses`` and ``inspect`` stay out of a fresh process
-that imports the CLI and both harnesses.  ``Fraction`` and ``Decimal``
-are imported on first use, which only a cold process can exercise: this
-test process has imported them long before.
+that imports the CLI and both harnesses.  ``ExactClipOutcome`` imports
+``Fraction`` when it builds an accept, and markdown rendering imports
+``Decimal``; only a cold process can exercise those first uses, since
+this test process has imported both long before.
 """
 
 import hashlib
@@ -33,8 +34,8 @@ from clipbench.oracle import ExactClipOutcome
 
 outcome = ExactClipOutcome.of((-200.0, 0.5, 200.0, 0.5), ClipWindow(-100.0, -75.0, 100.0, 75.0))
 assert outcome.accepted
-assert outcome.p1 == (Fraction(-100), Fraction(1, 2)), outcome.p1
-assert [type(v) for v in outcome.p1] == [Fraction, Fraction], outcome.p1
+assert outcome.ends == (Fraction(-100), Fraction(1, 2), Fraction(100), Fraction(1, 2)), outcome
+assert [type(v) for v in outcome.ends] == [Fraction] * 4, outcome
 
 code = cli.main(["bench", "--lines", "10", "--reps", "1", "--format", "md"])
 assert code == 0, code
