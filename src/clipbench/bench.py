@@ -354,13 +354,16 @@ def run_bench(config: BenchConfig) -> BenchReport:
 
 
 def _fmt_seconds(value: float) -> str:
-    from decimal import ROUND_HALF_EVEN, ROUND_HALF_UP, Decimal
+    from decimal import ROUND_HALF_EVEN, ROUND_HALF_UP, Context, Decimal
 
     # Run tables carry millisecond precision, so their means have at most
     # four meaningful decimals; quantizing there first drops binary
-    # summation noise before the half-up display rounding.
-    q = Decimal(repr(value)).quantize(Decimal("0.0001"), rounding=ROUND_HALF_EVEN)
-    return str(q.quantize(Decimal("0.001"), rounding=ROUND_HALF_UP))
+    # summation noise before the half-up display rounding.  A finite
+    # double has at most 309 integer digits, so 313 digits hold every
+    # quantized value, where the default 28 would raise from 1e24 up.
+    wide = Context(prec=313)
+    q = Decimal(repr(value)).quantize(Decimal("0.0001"), ROUND_HALF_EVEN, wide)
+    return str(q.quantize(Decimal("0.001"), ROUND_HALF_UP, wide))
 
 
 def render_report(report: BenchReport, fmt: str) -> str:

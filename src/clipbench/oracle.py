@@ -34,11 +34,12 @@ One fast path in ``clip_exact`` skips the integer lift.  When all eight
 coordinates are exact ``float`` instances, ``_certified_plain_reject``
 certifies a non-grazing reject in floats with Shewchuk's filtered
 orient2d predicate (Adaptive Precision Floating-Point Arithmetic and
-Fast Robust Geometric Predicates, 1997); only a certified case returns
-early.  Every other case takes the integer path: accepts, orientations
-too close to zero for the error bound, point segments, underflow-scale,
-infinite or NaN values, and every non-float input.  So the answer is
-the exact one's either way.
+Fast Robust Geometric Predicates, 1997), evaluated at the two window
+corners where the orientation against the supporting line is extremal;
+only a certified case returns early.  Every other case takes the
+integer path: accepts, orientations too close to zero for the error
+bound, point segments, underflow-scale, infinite or NaN values, and
+every non-float input.  So the answer is the exact one's either way.
 
 The integer path is one route: one interval and one grazing expression.
 The interval is the supporting line's parameter range in the closed
@@ -146,34 +147,38 @@ class _ExactWindow:
 def _interval_ints(X1, Y1, DX, DY, XMIN, YMIN, XMAX, YMAX):
     """The supporting line's parameter range in the closed window.
 
-    Starts from the unbounded range, whose ends ``(∓1, 0)`` the
-    cross-multiplied comparisons order as -inf and +inf, and intersects
-    it with the four half-plane constraints.  Returns (t0n, t0d, t1n,
-    t1d), or None when the line misses the window.  A finite end has a
-    positive denominator; only a point segment inside the window keeps
-    both unbounded ends.
+    The x bounds come from the sign of DX and the y bounds from the sign
+    of DY; an axis the line does not move along leaves the range
+    unbounded, ``(∓1, 0)``, which the cross-multiplied comparisons order
+    as -inf and +inf, or empties it when the line lies outside that
+    axis's bounds.  Returns (t0n, t0d, t1n, t1d), or None when the line
+    misses the window.  A finite end has a positive denominator; only a
+    point segment inside the window keeps both unbounded ends.  On a tie
+    between the axes the x bound is kept.
     """
-    t0n, t0d = -1, 0
-    t1n, t1d = 1, 0
-    for p, q in (
-        (DX, XMAX - X1),
-        (-DX, X1 - XMIN),
-        (DY, YMAX - Y1),
-        (-DY, Y1 - YMIN),
-    ):
-        # Constraint: p * t <= q.
-        if p == 0:
-            if q < 0:
-                return None
-        elif p > 0:
-            if q * t1d < t1n * p:
-                t1n, t1d = q, p
-        else:
-            pn, qn = -p, -q  # t >= qn / pn with pn > 0
-            if qn * t0d > t0n * pn:
-                t0n, t0d = qn, pn
-        if t1n * t0d < t0n * t1d:
-            return None
+    if DX > 0:
+        t0n, t1n, t0d = XMIN - X1, XMAX - X1, DX
+    elif DX < 0:
+        t0n, t1n, t0d = X1 - XMAX, X1 - XMIN, -DX
+    elif XMIN <= X1 <= XMAX:
+        t0n, t1n, t0d = -1, 1, 0
+    else:
+        return None
+    t1d = t0d
+    if DY > 0:
+        lo, hi, d = YMIN - Y1, YMAX - Y1, DY
+    elif DY < 0:
+        lo, hi, d = Y1 - YMAX, Y1 - YMIN, -DY
+    elif YMIN <= Y1 <= YMAX:
+        return t0n, t0d, t1n, t1d
+    else:
+        return None
+    if lo * t0d > t0n * d:
+        t0n, t0d = lo, d
+    if hi * t1d < t1n * d:
+        t1n, t1d = hi, d
+    if t1n * t0d < t0n * t1d:
+        return None
     return t0n, t0d, t1n, t1d
 
 
@@ -181,81 +186,60 @@ def _certified_plain_reject(x1, y1, x2, y2, xmin, ymin, xmax, ymax) -> bool:
     """True when double arithmetic alone proves the exact outcome is a
     non-grazing reject; False means "not proven", never "accepted".
 
-    Both proofs rest on the four window-corner orientations against the
-    supporting line, each Shewchuk's stage-A filtered orient2d: the float
-    ``detleft - detright`` is nonzero with the exact sign when its
-    magnitude exceeds ``_ORIENT_ERRBOUND * (|detleft| + |detright|)``.
-    That bound assumes neither overflow nor underflow, so a non-finite
-    or underflow-scale sum, which NaN and infinite coordinates produce,
-    is not certified.  A point segment has no supporting line; its
-    orientations are exactly zero and never certified.
+    A corner's orientation against the supporting line is linear in the
+    corner, with gradient (y1 - y2, x2 - x1), so over the window its
+    extremes lie at one opposite pair: (xmin, ymax) and (xmax, ymin) when
+    ``(x2 > x1) is (y2 > y1)``, otherwise (xmin, ymin) and (xmax, ymax).
+    Both comparisons are exact in floats.  Each of the two orientations
+    is Shewchuk's stage-A filtered orient2d: the float ``detleft -
+    detright`` is nonzero with the exact sign when its magnitude exceeds
+    ``_ORIENT_ERRBOUND * (|detleft| + |detright|)``.  That bound assumes
+    neither overflow nor underflow, so a non-finite or underflow-scale
+    sum, which NaN and infinite coordinates produce, is not certified.
+    A point segment has no supporting line; its orientations are exactly
+    zero and never certified.
 
-    - Both endpoints lie strictly beyond one window side, so the segment
-      misses the closed window, and all four orientations are certified
-      nonzero, so the line touches no corner.
-    - All four orientations are certified nonzero with one sign, so every
-      corner lies strictly on one side of the line and the line misses
-      the closed window (Skala's corner-sign test).  A certified sign is
-      the exact sign, not a rounded one, so this shares no rounding
-      error with the Skala clipper, which tests the same signs in floats.
+    - Both extremes are certified nonzero with one sign, so the whole
+      closed window lies strictly on one side of the line, which misses
+      it (Skala's corner-sign test, on the two corners that decide it).
+      A certified sign is the exact sign, not a rounded one, so this
+      shares no rounding error with the Skala clipper, which tests the
+      same signs in floats.
+    - The extremes are certified with opposite signs, so the line
+      crosses the window's interior and a reject cannot graze, and both
+      endpoints lie strictly beyond one window side, so the segment
+      misses the closed window.
 
-    A segment that is not trivially outside returns at the first pair of
-    certified signs that differ, since its line meets the window.
-    Opposite corners come first: a line that meets the window usually
-    separates them, which settles the segment after two orientations.
-    The four corners are written out rather than looped over, which
-    saves building and unpacking a tuple per corner, and the constants
-    are read into locals once.  Arguments must be exact floats.
+    The four-corner form of the test needs these two corners certified
+    too, so this certifies everything it does.  Arguments must be exact
+    floats.
     """
     tiny, huge, errbound = _ORIENT_TINY, inf, _ORIENT_ERRBOUND
-    outside = (
-        (x1 < xmin and x2 < xmin)
-        or (x1 > xmax and x2 > xmax)
-        or (y1 < ymin and y2 < ymin)
-        or (y1 > ymax and y2 > ymax)
-    )
-    ax0 = x1 - xmin
-    ax1 = x1 - xmax
-    ay0 = y1 - ymin
-    ay1 = y1 - ymax
-    bx0 = x2 - xmin
-    bx1 = x2 - xmax
-    by0 = y2 - ymin
-    by1 = y2 - ymax
-    # Corner (xmin, ymin).
-    detleft = ax0 * by0
-    detright = ay0 * bx0
+    if (x2 > x1) is (y2 > y1):
+        ya, yb = ymax, ymin
+    else:
+        ya, yb = ymin, ymax
+    # Corner (xmin, ya).
+    detleft = (x1 - xmin) * (y2 - ya)
+    detright = (y1 - ya) * (x2 - xmin)
     det = detleft - detright
     detsum = abs(detleft) + abs(detright)
     if not (tiny < detsum < huge and abs(det) > errbound * detsum):
         return False
     positive = det > 0
-    # Corner (xmax, ymax).
-    detleft = ax1 * by1
-    detright = ay1 * bx1
+    # Corner (xmax, yb).
+    detleft = (x1 - xmax) * (y2 - yb)
+    detright = (y1 - yb) * (x2 - xmax)
     det = detleft - detright
     detsum = abs(detleft) + abs(detright)
     if not (tiny < detsum < huge and abs(det) > errbound * detsum):
         return False
-    if positive is not (det > 0) and not outside:
-        return False
-    # Corner (xmax, ymin).
-    detleft = ax1 * by0
-    detright = ay0 * bx1
-    det = detleft - detright
-    detsum = abs(detleft) + abs(detright)
-    if not (tiny < detsum < huge and abs(det) > errbound * detsum):
-        return False
-    if positive is not (det > 0) and not outside:
-        return False
-    # Corner (xmin, ymax).
-    detleft = ax0 * by1
-    detright = ay1 * bx0
-    det = detleft - detright
-    detsum = abs(detleft) + abs(detright)
-    if not (tiny < detsum < huge and abs(det) > errbound * detsum):
-        return False
-    return positive is (det > 0) or outside
+    return positive is (det > 0) or (
+        (x1 < xmin and x2 < xmin)
+        or (x1 > xmax and x2 > xmax)
+        or (y1 < ymin and y2 < ymin)
+        or (y1 > ymax and y2 > ymax)
+    )
 
 
 def _clip_ints(x1, y1, x2, y2, window: _ExactWindow) -> tuple[bool, tuple | None]:

@@ -3,6 +3,7 @@ import json
 import math
 import pickle
 import struct
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
@@ -640,6 +641,22 @@ def test_markdown_columns_follow_fixed_order_for_any_request_order():
     md = render_report(run_bench(cfg), "md")
     header = next(l for l in md.splitlines() if l.startswith("| Exec."))
     assert header == "| Exec. | CS | Skala | Proposed |"
+
+
+@pytest.mark.parametrize("seconds, cell", [
+    (1e24, "1" + "0" * 24 + ".000"),
+    (1e30, "1" + "0" * 30 + ".000"),
+    (sys.float_info.max, "17976931348623157" + "0" * 292 + ".000"),
+], ids=["1e24", "1e30", "float-max"])
+def test_markdown_renders_any_finite_timing(seconds, cell):
+    # RunTiming takes any finite seconds >= 0, so the table must show
+    # them all, beyond the 28 digits of the default decimal context.
+    cfg = BenchConfig(lines_per_run=20, repetitions=1, seed=1,
+                      algorithms=(AlgorithmId.PROPOSED,))
+    report = run_bench(cfg)
+    report = report._replace(timings=[report.timings[0]._replace(seconds=seconds)])
+    md = render_report(report, "md").splitlines()
+    assert f"| 1 | {cell} |" in md and f"| Avg | {cell} |" in md
 
 
 def test_report_averages_match_timings():

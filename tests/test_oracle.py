@@ -553,8 +553,9 @@ _LOOP_TINY = 2.0**-900
 
 
 def _loop_certified_plain_reject(x1, y1, x2, y2, xmin, ymin, xmax, ymax):
-    """The loop form of oracle._certified_plain_reject, kept as the
-    reference for its unrolled form."""
+    """The four-corner loop form of oracle._certified_plain_reject, kept
+    as the reference its two-corner form must cover: the same corner
+    signs, but all four corners certified."""
     outside = (
         (x1 < xmin and x2 < xmin)
         or (x1 > xmax and x2 > xmax)
@@ -647,12 +648,54 @@ def test_unrolled_certified_reject_matches_the_loop_form(shift, scale):
     results = []
     for seg, w in [(seg, w) for w in windows for seg in segs] + _underflow_guard_cases():
         got = oracle._certified_plain_reject(*seg, *w)
-        assert got is _loop_certified_plain_reject(*seg, *w), (seg, w)
+        assert type(got) is bool
+        # Everything the four-corner form certifies is still certified.
+        assert got or not _loop_certified_plain_reject(*seg, *w), (seg, w)
+        if got:
+            # A non-finite coordinate, in the window or the segment, never
+            # certifies; every finite certified input is an exact
+            # non-grazing reject.
+            assert all(map(math.isfinite, seg + w)), (seg, w)
+            assert ExactClipOutcome.of(seg, w) == ExactClipOutcome(False), (seg, w)
         results.append(got)
-    # Both answers occur, so the comparison is not vacuous.
+    # Both answers occur, so the checks are not vacuous.
     assert True in results and False in results
     # Through clip_exact, each finite edge input gets the exact verdict.
     edges = [(seg, window) for seg in _predicate_edge_cases(window)] + _underflow_guard_cases()
     for seg, w in edges:
         if all(map(math.isfinite, seg)):
             assert _verdict_bits(clip_exact(seg, w)) == _verdict(ExactClipOutcome.of(seg, w)), seg
+
+
+def _boundary_lattice(window):
+    """All ordered pairs of 225 points: per axis the window's bounds, its
+    centre and the bounds moved 50 outward, each exact and one ulp either
+    way."""
+    xmin, ymin, xmax, ymax = window
+    def axis(lo, hi):
+        return [u for v in (lo, hi, (lo + hi) / 2, lo - 50, hi + 50)
+                for u in (math.nextafter(v, -math.inf), v, math.nextafter(v, math.inf))]
+    points = list(product(axis(xmin, xmax), axis(ymin, ymax)))
+    return [p + q for p, q in product(points, points)]
+
+
+@pytest.mark.parametrize("shift", [0.0, 1e6], ids=["0", "1e6"])
+def test_certified_reject_on_the_boundary_lattice(shift):
+    # Every coordinate lies within an ulp of a window bound, the centre or
+    # a point 50 outside, where the float filter and the integer path meet.
+    window = tuple(v + shift for v in WF)
+    exact_window = _ExactWindow(window)
+    segs = _boundary_lattice(window)
+    assert len(segs) == 50625
+    certified = loop_certified = 0
+    for seg in segs:
+        got = oracle._certified_plain_reject(*seg, *window)
+        loop = _loop_certified_plain_reject(*seg, *window)
+        assert got or not loop, seg
+        exact = ExactClipOutcome.of(seg, exact_window)
+        if got:
+            assert exact == ExactClipOutcome(False), seg
+        assert _verdict_bits(clip_exact(seg, exact_window)) == _verdict(exact), seg
+        certified += got
+        loop_certified += loop
+    assert certified >= loop_certified > 0
