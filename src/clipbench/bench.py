@@ -3,16 +3,16 @@
 The same seeded segment stream is replayed for every algorithm and every
 repetition, so everything in a report except the wall-clock ``seconds``
 is bit-identical across runs and platforms.  The stream is materialized
-once, one chunk of at most ``CHUNK_SIZE`` segments at a time, and each
-chunk is clipped by every repetition and every algorithm before the next
-one is generated.  Timing covers the clip calls only: generation happens
-before the timer starts, and results are folded into a checksum and
-released after it stops.  Every pass is timed and folded, the first
-too: measured in fresh processes, a kernel's first pass runs within the
-host's noise of its later ones (README, "Benchmark semantics"), so an
-untimed warm-up pass would only cost time.  The first pass does take
-the page faults of the heap's growth, about 1% of its time at 200k
-lines.
+once, one chunk of at most ``CHUNK_SIZE`` segments at a time, by
+``_stream``, the walker ``verify`` shares, and each chunk is clipped by
+every repetition and every algorithm before the next one is generated.
+Timing covers the clip calls only: generation happens before the timer
+starts, and results are folded into a checksum and released after it
+stops.  Every pass is timed and folded, the first too: measured in
+fresh processes, a kernel's first pass runs within the host's noise of
+its later ones (README, "Benchmark semantics"), so an untimed warm-up
+pass would only cost time.  The first pass does take the page faults of
+the heap's growth, about 1% of its time at 200k lines.
 """
 
 from __future__ import annotations
@@ -142,6 +142,17 @@ def _materialize(state: int, space: ClipWindow, count: int):
         ])
         state = (state + 4 * n * _GAMMA) & MASK64
     return buf, state
+
+
+def _stream(materialize, seed: int, space: ClipWindow, count: int, size: int):
+    """The first ``count`` segments of the stream from ``seed``, in lists of
+    at most ``size``, each made by ``materialize`` from the state the last
+    call returned.  A ``size`` that is a multiple of ``_BLOCK`` does the
+    lane work of one whole-stream call; others mix a partial block per list."""
+    state = seed
+    for start in range(0, count, size):
+        chunk, state = materialize(state, space, min(size, count - start))
+        yield chunk
 
 
 _DEFAULT_SPACE = ClipWindow(-960.0, -720.0, 960.0, 720.0)
@@ -322,12 +333,7 @@ def run_bench(config: BenchConfig) -> BenchReport:
     folds = {run: _ResultFold() for run in runs}
 
     perf = time.perf_counter
-    state = config.seed
-    remaining = config.lines_per_run
-    while remaining:
-        count = min(remaining, CHUNK_SIZE)
-        buf, state = _materialize(state, config.space, count)
-        remaining -= count
+    for buf in _stream(_materialize, config.seed, config.space, config.lines_per_run, CHUNK_SIZE):
         for rep in range(1, config.repetitions + 1):
             for algo, kernel in kernels:
                 t0 = perf()

@@ -2,7 +2,9 @@
 
 Inputs are lifted losslessly to rationals through their exact
 ``as_integer_ratio()``, so coordinates may be floats (every double is
-exactly representable), ints, Fractions or Decimals.  They are scaled to
+exactly representable), ints, Fractions or Decimals; a value without
+one, such as a str or None, raises TypeError on every path, as
+``Segment`` and ``ClipWindow`` do.  They are scaled to
 a common integer grid and clipped with the parametric interval method
 over arbitrary-precision integers.  The method is deliberately different
 from all seven production clippers so its failure modes are independent
@@ -76,7 +78,9 @@ class ExactClipOutcome(namedtuple("ExactClipOutcome", "grazing ends", defaults=(
     ``clip``'s order; a reject has ``ends=None``, and ``accepted`` is
     ``ends is not None``.  However the outcome is built, ``ends`` must
     hold exactly four coordinates, each made an exact ``Fraction`` in
-    lowest terms, so outcomes compare and hash as tuples by exact value.
+    lowest terms through its ``as_integer_ratio()``, so outcomes compare
+    and hash as tuples by exact value; a coordinate without one, such as
+    a str, raises TypeError.
     """
 
     __slots__ = ()
@@ -86,7 +90,7 @@ class ExactClipOutcome(namedtuple("ExactClipOutcome", "grazing ends", defaults=(
             from fractions import Fraction
 
             x1, y1, x2, y2 = ends
-            ends = Fraction(x1), Fraction(y1), Fraction(x2), Fraction(y2)
+            ends = tuple(Fraction(n, d) for n, d in _ratios((x1, y1, x2, y2), "ends"))
         return super().__new__(cls, grazing, ends)
 
     @classmethod
@@ -115,6 +119,15 @@ _ORIENT_ERRBOUND = (3.0 + 16.0 * 2.0**-53) * 2.0**-53
 _ORIENT_TINY = 2.0**-900
 
 
+def _ratios(values, name: str) -> list[tuple[int, int]]:
+    """Each value's exact ``as_integer_ratio()``; TypeError for a value
+    without one."""
+    try:
+        return [v.as_integer_ratio() for v in values]
+    except AttributeError:
+        raise TypeError(f"{name} must have an exact as_integer_ratio(), got {values!r}") from None
+
+
 class _ExactWindow:
     """A clip window validated and lifted once, for many ``clip_exact``
     calls; ``run_verification`` builds one per sweep.
@@ -123,7 +136,8 @@ class _ExactWindow:
     as integers over their least common denominator WL, plus WL, and
     ``floats`` whether all four are of exact type ``float``, the
     precondition of the float reject path.  Reversed bounds raise
-    ValueError, and so do non-finite ones, which have no integer ratio.
+    ValueError, and so do non-finite ones, which have no integer ratio;
+    a bound without ``as_integer_ratio()`` raises TypeError.
     """
 
     __slots__ = ("bounds", "lifted", "floats")
@@ -131,7 +145,7 @@ class _ExactWindow:
     def __init__(self, bounds) -> None:
         xmin, ymin, xmax, ymax = bounds
         try:
-            ratios = [v.as_integer_ratio() for v in (xmin, ymin, xmax, ymax)]
+            ratios = _ratios((xmin, ymin, xmax, ymax), "window bounds")
         except OverflowError:
             raise ValueError("window bounds must be finite") from None
         WL = lcm(*(d for _, d in ratios))
@@ -245,11 +259,17 @@ def _certified_plain_reject(x1, y1, x2, y2, xmin, ymin, xmax, ymax) -> bool:
 def _clip_ints(x1, y1, x2, y2, window: _ExactWindow) -> tuple[bool, tuple | None]:
     """The integer path: ``(grazing, ends)``, with ``ends`` None on a
     reject and otherwise the unreduced integers ``(x1, y1, d1, x2, y2,
-    d2)``, endpoint i at ``(xi / di, yi / di)``."""
-    x1n, x1d = x1.as_integer_ratio()
-    y1n, y1d = y1.as_integer_ratio()
-    x2n, x2d = x2.as_integer_ratio()
-    y2n, y2d = y2.as_integer_ratio()
+    d2)``, endpoint i at ``(xi / di, yi / di)``.  A coordinate without
+    ``as_integer_ratio()`` raises TypeError."""
+    # One try for the four lifts, free when nothing raises.
+    try:
+        x1n, x1d = x1.as_integer_ratio()
+        y1n, y1d = y1.as_integer_ratio()
+        x2n, x2d = x2.as_integer_ratio()
+        y2n, y2d = y2.as_integer_ratio()
+    except AttributeError:
+        raise TypeError("segment coordinates must have an exact as_integer_ratio(), "
+                        f"got {(x1, y1, x2, y2)!r}") from None
     wx0, wy0, wx1, wy1, WL = window.lifted
     L = lcm(x1d, y1d, x2d, y2d, WL)
     X1 = x1n * (L // x1d)
@@ -300,7 +320,8 @@ def clip_exact(seg, window) -> tuple[float, float, float, float] | object | None
     of any type with an exact ``as_integer_ratio()``: float, int,
     Fraction or Decimal.  A bad window raises ValueError, prepared or
     not.  A bad segment raises ValueError, except that an infinite
-    coordinate raises OverflowError.
+    coordinate raises OverflowError.  A coordinate or bound without
+    ``as_integer_ratio()`` raises TypeError.
 
     Returns None for a non-grazing reject, ``GRAZING`` for any grazing
     case, accept or reject, and otherwise the accept's endpoints as the

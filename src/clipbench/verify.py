@@ -6,8 +6,8 @@ rational clipper.  Cases the oracle flags as grazing are exempt from
 agreement, but an accepted grazing result must still land inside the
 (tolerance-padded) window and on the input segment's supporting line.
 
-The sweep walks the stream in blocks of ``_BLOCK`` cases, generating
-each block from the state the previous one returned, so the stream is
+The sweep walks the stream through ``bench._stream``, the walker
+``run_bench`` shares, in blocks of ``_BLOCK`` cases, so the stream is
 never held whole; the adversarial suite follows as one more block.  In
 each block the oracle runs once per case, against one window prepared
 for the whole sweep, and gives the case its verdict in the kernels' own
@@ -24,7 +24,7 @@ from collections import namedtuple
 from itertools import chain, repeat
 from math import fsum, hypot, isfinite, ulp
 
-from .bench import _materialize, _require_count, require_seed
+from .bench import _materialize, _require_count, _stream, require_seed
 from .clippers import KERNELS, AlgorithmId
 from .geom import ClipWindow, require_window_in_space
 from .oracle import GRAZING, _ExactWindow, clip_exact
@@ -34,8 +34,7 @@ __all__ = ["AlgorithmCheck", "VerificationReport", "adversarial_segments", "run_
 # Cases per generated block and per oracle and kernel pass.  Blocks bound
 # the stream as well as the per-pass lists, so a sweep's peak RSS does not
 # grow with its case count.  A multiple of the generator's own block
-# (bench._BLOCK), so generating block by block does the same lane work as
-# one whole-stream call.
+# (bench._BLOCK), so bench._stream does one whole-stream call's lane work.
 _BLOCK = 1024
 
 
@@ -167,15 +166,6 @@ def _grazing_accept_valid(res, seg, x0, y0, x1, y1, pad, tol) -> bool:
     return True
 
 
-def _stream(seed: int, space: ClipWindow, cases: int):
-    """The first ``cases`` segments of the seeded stream, one block of at
-    most ``_BLOCK`` at a time, each from the state the last one returned."""
-    state = seed
-    for start in range(0, cases, _BLOCK):
-        block, state = _materialize(state, space, min(_BLOCK, cases - start))
-        yield block
-
-
 def run_verification(
     cases: int,
     seed: int,
@@ -216,7 +206,7 @@ def run_verification(
     suite = adversarial_segments(window)
     random_grazing = 0
 
-    for block in chain(_stream(seed, space, cases), [suite]):
+    for block in chain(_stream(_materialize, seed, space, cases, _BLOCK), [suite]):
         # One oracle call per case gives the case's verdict.
         verdicts = list(map(clip_exact, block, repeat(exact_window)))
         if block is not suite:

@@ -4,6 +4,7 @@ import math
 import pickle
 import struct
 import sys
+from itertools import product
 
 import pytest
 from hypothesis import given, strategies as st
@@ -21,6 +22,7 @@ from clipbench.bench import (
     _BLOCK,
     _ResultFold,
     _materialize,
+    _stream,
 )
 from clipbench.clippers import KERNELS, AlgorithmId
 from clipbench.geom import ClipWindow
@@ -104,6 +106,15 @@ def test_continued_buffer_matches_the_whole_stream():
     whole, whole_state = _materialize(7, SPACE, 50)
     assert head + tail == whole
     assert end_state == whole_state
+    # The walker both harnesses chunk through: its chunks, of at most
+    # ``size`` segments each, join to the whole stream, and none is empty.
+    for seed, count, size in product(
+            (7, 2**64 - 5), (0, 1, 3 * _BLOCK + 7),
+            (1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 1000, 4 * _BLOCK)):
+        chunks = list(_stream(_materialize, seed, SPACE, count, size))
+        joined = [seg for chunk in chunks for seg in chunk]
+        assert joined == _materialize(seed, SPACE, count)[0], (seed, count, size)
+        assert all(0 < len(chunk) <= size for chunk in chunks), (seed, count, size)
 
 
 def _reference_stream(seed, count):

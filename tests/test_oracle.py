@@ -143,14 +143,17 @@ def test_invalid_window_raises():
     # Twice: the second call must check the window again, as the first did.
     # The float cases lie trivially outside one side of the reversed
     # window, which must not let them skip the window check.
-    for seg, window in (
-        ((0, 0, 1, 1), (5, 0, 5, 10)),
-        ((-300.0, 0.0, -200.0, 10.0), (100.0, -75.0, -100.0, 75.0)),
-        ((0.0, 100.0, 10.0, 200.0), (-100.0, 75.0, 100.0, -75.0)),
-        ((300.0, 0.0, 200.0, 10.0), (100.0, -75.0, 100.0, 75.0)),
+    # A bound without as_integer_ratio() raises TypeError, as in ClipWindow.
+    for seg, window, error in (
+        ((0, 0, 1, 1), (5, 0, 5, 10), ValueError),
+        ((-300.0, 0.0, -200.0, 10.0), (100.0, -75.0, -100.0, 75.0), ValueError),
+        ((0.0, 100.0, 10.0, 200.0), (-100.0, 75.0, 100.0, -75.0), ValueError),
+        ((300.0, 0.0, 200.0, 10.0), (100.0, -75.0, 100.0, 75.0), ValueError),
+        ((-300.0, 0.0, -200.0, 10.0), (-100.0, -75.0, "100", 75.0), TypeError),
+        ((0, 0, 1, 1), (-100, None, 100, 75), TypeError),
     ):
         for _ in range(2):
-            with pytest.raises(ValueError):
+            with pytest.raises(error):
                 clip_exact(seg, window)
 
 
@@ -464,9 +467,12 @@ def test_outcome_accepts_exactly_when_it_has_ends():
         ExactClipOutcome(True, False, (1, 2, 3, 4))
     # Ends that are no segment raise on every construction path, as
     # clip_exact raises for the same segment.
-    for ends in ((1, 2, 3), (1, 2, 3, 4, 5), (1, math.nan, 3, 4), (1, 2, math.inf, 4),
-                 (1, 2, 3, Decimal("-Infinity")), (Decimal("NaN"), 2, 3, 4)):
-        with pytest.raises((ValueError, OverflowError)) as raised:
+    for ends, error in (((1, 2, 3), ValueError), ((1, 2, 3, 4, 5), ValueError),
+                        ((1, math.nan, 3, 4), ValueError), ((1, 2, math.inf, 4), OverflowError),
+                        ((1, 2, 3, Decimal("-Infinity")), OverflowError),
+                        ((Decimal("NaN"), 2, 3, 4), ValueError), (("1", 2, 3, 4), TypeError),
+                        ((1, 2, 3, None), TypeError), ((1, 2, 3, 1j), TypeError)):
+        with pytest.raises(error) as raised:
             clip_exact(ends, W)
         for build in (lambda: ExactClipOutcome(False, ends),
                       lambda: ExactClipOutcome._make((False, ends)),
