@@ -191,13 +191,16 @@ class BenchConfig(namedtuple(
 
 class RunTiming(namedtuple("RunTiming", "algorithm run_index seconds accepted_count checksum")):
     """One timed pass of one algorithm over the full segment stream,
-    checked however it is built: ValueError unless ``run_index`` >= 1 and
+    checked however it is built: ``algorithm`` is stored as an
+    ``AlgorithmId``, converting a report spelling as ``BenchConfig`` does.
+    ValueError unless it names one, ``run_index`` >= 1 and
     ``accepted_count`` >= 0 are ints (not bools), ``seconds`` is a finite
     int or float >= 0 and ``checksum`` an int in [0, 2^64)."""
 
     __slots__ = ()
 
     def __new__(cls, algorithm, run_index, seconds, accepted_count, checksum) -> "RunTiming":
+        algorithm = AlgorithmId(algorithm)
         _require_count("run_index", run_index, 1)
         _require_count("accepted_count", accepted_count, 0)
         if type(seconds) not in (int, float) or not 0 <= seconds < inf:
@@ -459,6 +462,6 @@ def parse_report(text: str) -> BenchReport:
     doc = json.loads(text)
     c = doc["config"]
     return BenchReport(BenchConfig(*(c[f] for f in BenchConfig._fields)), [
-        RunTiming(AlgorithmId(t["algorithm"]), t["run"], t["seconds"], t["accepted"], t["checksum"])
+        RunTiming(t["algorithm"], t["run"], t["seconds"], t["accepted"], t["checksum"])
         for t in doc["timings"]
     ])

@@ -96,7 +96,9 @@ class ExactClipOutcome(namedtuple("ExactClipOutcome", "grazing ends", defaults=(
     @classmethod
     def of(cls, seg, window) -> ExactClipOutcome:
         """The exact outcome, from the integer path alone and never the
-        float filter; takes and raises what ``clip_exact`` does."""
+        float filter; takes and raises what ``clip_exact`` does.  Each
+        ``Fraction`` is built once, in lowest terms, and the record
+        keeps it without the constructor's second lift."""
         x1, y1, x2, y2 = seg
         if type(window) is not _ExactWindow:
             window = _ExactWindow(window)
@@ -106,7 +108,7 @@ class ExactClipOutcome(namedtuple("ExactClipOutcome", "grazing ends", defaults=(
 
             x1n, y1n, d1, x2n, y2n, d2 = ends
             ends = Fraction(x1n, d1), Fraction(y1n, d1), Fraction(x2n, d2), Fraction(y2n, d2)
-        return cls(grazing, ends)
+        return super().__new__(cls, grazing, ends)
 
     accepted = property(lambda self: self.ends is not None)
     _make = classmethod(_checked_make)

@@ -273,6 +273,12 @@ def test_config_stores_windows_and_algorithm_ids_however_given():
     assert cfg.algorithms == (AlgorithmId.COHEN_SUTHERLAND, AlgorithmId.PROPOSED)
     assert cfg == BenchConfig(algorithms=(AlgorithmId.COHEN_SUTHERLAND, AlgorithmId.PROPOSED))
     assert cfg._replace(algorithms=["KWC"]).algorithms == (AlgorithmId.KWC,)
+    # A timing converts its spelling too, so a report of spelled timings
+    # under a spelled config builds.
+    timing = RunTiming("CS", 1, 0.5, 3, 7)
+    assert timing.algorithm is AlgorithmId.COHEN_SUTHERLAND
+    assert BenchReport(BenchConfig(algorithms=("CS",), repetitions=1), [timing]).timings == (
+        RunTiming(AlgorithmId.COHEN_SUTHERLAND, 1, 0.5, 3, 7),)
 
 
 # ---------------------------------------------------------------------------

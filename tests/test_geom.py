@@ -77,7 +77,7 @@ BAD_FIELDS = [
         ("seconds", math.inf), ("seconds", math.nan), ("seconds", -0.5), ("seconds", "0.5"),
         ("seconds", False), ("accepted_count", -1), ("accepted_count", 3.0),
         ("accepted_count", False), ("checksum", -1), ("checksum", 2**64), ("checksum", 7.0),
-        ("checksum", True),
+        ("checksum", True), ("algorithm", "cs"), ("algorithm", None),
     )),
 ]
 

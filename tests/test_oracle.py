@@ -10,9 +10,11 @@ from hypothesis import given, settings, strategies as st
 
 from clipbench import oracle
 from clipbench.bench import _materialize
+from clipbench.clippers import AlgorithmId
 from clipbench.geom import ClipWindow, Segment
 from clipbench.oracle import ExactClipOutcome, _ExactWindow, clip_exact
 from clipbench.verify import adversarial_segments
+from test_oracle_equivalence import oracle_tally
 
 W = (-100, -75, 100, 75)
 WF = tuple(float(v) for v in W)
@@ -381,17 +383,20 @@ def test_double_round_trip_error_is_at_most_one_ulp(seg):
         assert abs(Fraction(g) - e) <= bound
 
 
-def test_outcome_endpoints_are_reduced_fraction_pairs_and_immutable():
-    for seg in SUITE:
-        o = ExactClipOutcome.of(seg, W)
-        if not o.accepted:
-            assert o.ends is None
-            continue
-        assert type(o.ends) is tuple and len(o.ends) == 4
-        for coord in o.ends:
-            assert type(coord) is Fraction
-            assert coord.denominator > 0
-            assert math.gcd(coord.numerator, coord.denominator) == 1
+def test_outcome_endpoints_are_reduced_fraction_pairs_and_immutable(monkeypatch):
+    # of builds each Fraction once, in lowest terms, and the record keeps
+    # it: the constructor's lift through as_integer_ratio() is not rerun.
+    window = _ExactWindow(W)
+    with monkeypatch.context() as patch:
+        patch.setattr(oracle, "_ratios", None)  # a call raises TypeError
+        outcomes = [ExactClipOutcome.of(seg, window) for seg in SUITE]
+    assert sum(o.accepted for o in outcomes) > 0
+    for o in outcomes:
+        assert o == ExactClipOutcome(*o)
+        if o.accepted:
+            assert type(o.ends) is tuple and [type(v) for v in o.ends] == [Fraction] * 4
+            assert all(v.denominator > 0 and math.gcd(v.numerator, v.denominator) == 1
+                       for v in o.ends)
     o = ExactClipOutcome.of((-200.5, -199.25, 200.125, 201.75), W)
     for name in ("accepted", "grazing", "ends", "extra"):
         with pytest.raises(AttributeError):
@@ -685,15 +690,35 @@ def _boundary_lattice(window):
     return [p + q for p, q in product(points, points)]
 
 
+# Per kernel on the lattice, counted as for NEAR_EDGE_CEILINGS: flips,
+# flipped accepts outside the padded window, and agreeing accepts more
+# than 1e-9 off, with 10,385 grazing cases and 22,760 exact accepts at
+# each shift.  Every flip accepts an exact reject.  KWC and Proposed
+# return 216 of them outside the window, up to 50 units out; LB, CB, NLN
+# and Skala flip at shift 0 only, within 5e-14 of the window.  These are
+# ceilings: a change may lower a tally, not raise it.
+LATTICE_CEILINGS = {
+    AlgorithmId.COHEN_SUTHERLAND: {0.0: (576, 0, 372), 1e6: (468, 0, 360)},
+    AlgorithmId.LIANG_BARSKY: {0.0: (112, 0, 0), 1e6: (0, 0, 0)},
+    AlgorithmId.CYRUS_BECK: {0.0: (112, 0, 0), 1e6: (0, 0, 0)},
+    AlgorithmId.NICHOLL_LEE_NICHOLL: {0.0: (128, 0, 0), 1e6: (0, 0, 0)},
+    AlgorithmId.SKALA: {0.0: (160, 0, 0), 1e6: (0, 0, 0)},
+    AlgorithmId.KWC: {0.0: (520, 216, 72), 1e6: (504, 216, 72)},
+    AlgorithmId.PROPOSED: {0.0: (960, 216, 72), 1e6: (944, 216, 72)},
+}
+
+
 @pytest.mark.parametrize("shift", [0.0, 1e6], ids=["0", "1e6"])
 def test_certified_reject_on_the_boundary_lattice(shift):
     # Every coordinate lies within an ulp of a window bound, the centre or
-    # a point 50 outside, where the float filter and the integer path meet.
+    # a point 50 outside, where the float filter and the integer path
+    # meet, and where the kernels' boundary comparisons decide.
     window = tuple(v + shift for v in WF)
     exact_window = _ExactWindow(window)
     segs = _boundary_lattice(window)
     assert len(segs) == 50625
     certified = loop_certified = 0
+    verdicts = []
     for seg in segs:
         got = oracle._certified_plain_reject(*seg, *window)
         loop = _loop_certified_plain_reject(*seg, *window)
@@ -701,7 +726,13 @@ def test_certified_reject_on_the_boundary_lattice(shift):
         exact = ExactClipOutcome.of(seg, exact_window)
         if got:
             assert exact == ExactClipOutcome(False), seg
-        assert _verdict_bits(clip_exact(seg, exact_window)) == _verdict(exact), seg
+        verdicts.append(clip_exact(seg, exact_window))
+        assert _verdict_bits(verdicts[-1]) == _verdict(exact), seg
         certified += got
         loop_certified += loop
     assert certified >= loop_certified > 0
+    grazing, accepts, tallies = oracle_tally(segs, window, verdicts)
+    assert (grazing, accepts) == (10385, 22760)
+    for algo, ceilings in LATTICE_CEILINGS.items():
+        tally = tallies[algo]
+        assert all(t <= c for t, c in zip(tally, ceilings[shift])), (algo.value, tally)

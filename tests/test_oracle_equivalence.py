@@ -1,16 +1,17 @@
 """Cross-checks of the seven clippers against the exact rational clipper
-on a seeded random stream plus the adversarial suite, including pairwise
-agreement and the corner-mask witness validation."""
+on a seeded random stream, the adversarial suite and boundary families,
+tallied per kernel by one helper, plus the corner-mask witness lines
+that the acceptance suite validates."""
 
 import math
 import random
+from collections import namedtuple
 
 import pytest
 
 from clipbench import bench, oracle, verify
 from clipbench.bench import _materialize
 from clipbench.clippers import KERNELS, AlgorithmId
-from clipbench.clippers.skala import EDGE_TABLE, clip_coords as skala_clip
 from clipbench.geom import ClipWindow, require_window_in_space
 from clipbench.oracle import ExactClipOutcome, clip_exact
 from clipbench.verify import (
@@ -241,6 +242,46 @@ def test_seed_7_tallies_at_default_and_far_origin(shift):
     }
 
 
+KernelTally = namedtuple("KernelTally", "flips outside off worst_ulps")
+
+
+def oracle_tally(segments, window, verdicts=None):
+    """Every kernel against the exact oracle on the list ``segments``,
+    each case's verdict taken once against one prepared window, or given
+    as ``verdicts``, ``clip_exact``'s answers in order.  Returns the
+    grazing cases, the non-grazing exact accepts and, per kernel, a
+    ``KernelTally``: non-grazing outcome flips, flipped accepts outside
+    the window padded by 1e-9 of its extent, agreeing accepts more than
+    1e-9 off, and the worst agreeing error in window ULPs (ULPs of the
+    largest window bound)."""
+    x0, y0, x1, y1 = window
+    pad = 1e-9 * max(1.0, x1 - x0, y1 - y0)
+    ulp = math.ulp(max(map(abs, window)))
+    if verdicts is None:
+        exact_window = oracle._ExactWindow(window)
+        verdicts = (clip_exact(seg, exact_window) for seg in segments)
+    tallies = {a: [0, 0, 0, 0.0] for a in AlgorithmId}
+    grazing = accepts = 0
+    for seg, verdict in zip(segments, verdicts, strict=True):
+        if verdict is oracle.GRAZING:
+            grazing += 1
+            continue
+        accepts += verdict is not None
+        for algo, kernel in KERNELS.items():
+            res = kernel(*seg, *window)
+            tally = tallies[algo]
+            if (res is None) != (verdict is None):
+                tally[0] += 1
+                tally[1] += res is not None and not all(
+                    x0 - pad <= res[i] <= x1 + pad and y0 - pad <= res[i + 1] <= y1 + pad
+                    for i in (0, 2))
+            elif res is not None:
+                errs = [abs(r - e) for r, e in zip(res, verdict)]
+                tally[2] += not all(err <= 1e-9 for err in errs)
+                tally[3] = max(tally[3], max(errs) / ulp)
+    return grazing, accepts, {a: KernelTally(*t) for a, t in tallies.items()}
+
+
 # Space, window and stream moved to (c + shift) * scale.  Every kernel
 # agrees with the oracle on the outcome of every non-grazing case, and
 # its accepted endpoints lie within 64 window ULPs (ULPs of the largest
@@ -252,29 +293,14 @@ def test_seed_7_tallies_at_default_and_far_origin(shift):
 @pytest.mark.parametrize("shift", [0.0, 1e4, 1e6, 1e8])
 def test_no_outcome_flips_and_endpoints_within_64_window_ulps(shift):
     base, _ = _materialize(1, SPACE, 2000)
-    flips = []
-    worst = dict.fromkeys(AlgorithmId, 0.0)
     for scale in (2.0**-500, 1e-6, 1.0, 1e6, 2.0**500):
         def move(coords):
             return tuple((c + shift) * scale for c in coords)
 
         space, window = ClipWindow(*move(SPACE)), ClipWindow(*move(WINDOW))
         require_window_in_space(window, space)
-        ulp = math.ulp(max(map(abs, window)))
-        exact_window = oracle._ExactWindow(window)
-        for seg in [move(s) for s in base] + adversarial_segments(window):
-            ends = clip_exact(seg, exact_window)
-            if ends is oracle.GRAZING:
-                continue
-            for algo, kernel in KERNELS.items():
-                res = kernel(*seg, *window)
-                if (res is None) != (ends is None):
-                    flips.append((algo.value, scale, seg))
-                elif res is not None:
-                    err = max(abs(r - e) for r, e in zip(res, ends)) / ulp
-                    worst[algo] = max(worst[algo], err)
-    assert flips == []
-    assert max(worst.values()) <= 64, worst
+        _, _, tallies = oracle_tally([move(s) for s in base] + adversarial_segments(window), window)
+        assert all(t.flips == 0 and t.worst_ulps <= 64 for t in tallies.values()), (scale, tallies)
 
 
 # Segments far longer than the window: each line passes through a uniform
@@ -284,23 +310,16 @@ def test_no_outcome_flips_and_endpoints_within_64_window_ulps(shift):
 # window: CS 2 of 3,000 at 2^52, and at 2^54 CS 159, Skala 253, KWC 38
 # and Proposed 36.
 def test_no_outcome_flips_for_segments_up_to_2_50_times_the_window():
-    window = (-1.0, -1.0, 1.0, 1.0)
-    exact_window = oracle._ExactWindow(window)
-    flips = []
     for k in (10, 20, 30, 40, 50):
         rng = random.Random(k)
+        segs = []
         for _ in range(3000):
             px, py = rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)
             angle = rng.uniform(0.0, 2.0 * math.pi)
             dx, dy = math.ldexp(math.cos(angle), k), math.ldexp(math.sin(angle), k)
-            seg = (px - dx, py - dy, px + dx, py + dy)
-            exact = ExactClipOutcome.of(seg, exact_window)
-            if exact.grazing:
-                continue
-            for algo, kernel in KERNELS.items():
-                if (kernel(*seg, *window) is not None) != exact.accepted:
-                    flips.append((algo.value, k, seg))
-    assert flips == []
+            segs.append((px - dx, py - dy, px + dx, py + dy))
+        _, _, tallies = oracle_tally(segs, (-1.0, -1.0, 1.0, 1.0))
+        assert all(t.flips == 0 for t in tallies.values()), (k, tallies)
 
 
 def _near_edge_segments(seed, space, window, count):
@@ -350,36 +369,21 @@ NEAR_EDGE_CEILINGS = {
 def test_near_edge_family_tallies_are_pinned(shift):
     space = tuple(v + shift for v in SPACE)
     window = tuple(v + shift for v in WINDOW)
-    x0, y0, x1, y1 = window
-    pad = 1e-9 * max(1.0, x1 - x0, y1 - y0)
     exact_window = oracle._ExactWindow(window)
-    tallies = {a: [0, 0, 0] for a in AlgorithmId}
-    grazing = accepts = 0
-    for seg in _near_edge_segments(5, space, window, 5000):
-        # Most of these cases take the integer path, which the random
-        # stream rarely reaches: clip_exact's verdict must be the exact
-        # outcome's, bit for bit.
-        verdict = clip_exact(seg, exact_window)
+    segs = _near_edge_segments(5, space, window, 5000)
+    verdicts = [clip_exact(seg, exact_window) for seg in segs]
+    # Most of these cases take the integer path, which the random stream
+    # rarely reaches: clip_exact's verdict must be the exact outcome's,
+    # bit for bit.
+    for seg, verdict in zip(segs, verdicts):
         exact = ExactClipOutcome.of(seg, exact_window)
         if exact.grazing:
             assert verdict is oracle.GRAZING
-            grazing += 1
-            continue
-        if exact.accepted:
+        elif exact.accepted:
             assert [v.hex() for v in verdict] == [float(v).hex() for v in exact.ends]
-            accepts += 1
         else:
             assert verdict is None
-        for algo, kernel in KERNELS.items():
-            res = kernel(*seg, *window)
-            if (res is None) != (verdict is None):
-                tallies[algo][0] += 1
-                if res is not None and not all(
-                        x0 - pad <= res[i] <= x1 + pad and y0 - pad <= res[i + 1] <= y1 + pad
-                        for i in (0, 2)):
-                    tallies[algo][1] += 1
-            elif res is not None and not all(abs(r - e) <= 1e-9 for r, e in zip(res, verdict)):
-                tallies[algo][2] += 1
+    grazing, accepts, tallies = oracle_tally(segs, window, verdicts)
     assert (grazing, accepts) == (277, 1500)
     for algo, ceiling in NEAR_EDGE_CEILINGS.items():
         assert all(t <= c for t, c in zip(tallies[algo], ceiling)), (algo.value, tallies[algo])
@@ -402,30 +406,16 @@ def test_adversarial_suite_covers_the_stress_families():
 
 
 def test_pairwise_agreement_on_non_grazing_cases():
+    # Every kernel within 1e-9 of the oracle on every non-grazing case,
+    # which puts every pair of kernels within 2e-9 of each other.
     buf, _ = _materialize(123, SPACE, 2000)
-    cases = buf + adversarial_segments(WINDOW)
-    disagreements = []
-    for seg in cases:
-        exact = ExactClipOutcome.of(seg, WINDOW)
-        if exact.grazing:
-            continue
-        results = {a: KERNELS[a](*seg, *WINDOW) for a in AlgorithmId}
-        flags = {r is not None for r in results.values()}
-        if len(flags) != 1:
-            disagreements.append((seg, results))
-            continue
-        accepted = [r for r in results.values() if r is not None]
-        if accepted:
-            first = accepted[0]
-            for other in accepted[1:]:
-                if any(abs(a - b) > 2e-9 for a, b in zip(first, other)):
-                    disagreements.append((seg, results))
-                    break
-    assert not disagreements, disagreements[:3]
+    _, _, tallies = oracle_tally(buf + adversarial_segments(WINDOW), WINDOW)
+    assert all(t[:3] == (0, 0, 0) for t in tallies.values()), tallies
 
 
 # ---------------------------------------------------------------------------
-# Corner-sign mask witnesses
+# Corner-sign mask witnesses, which the acceptance suite's criterion 5
+# checks against the oracle and Skala's edge table.
 
 def _corner_mask(a, b, c, window):
     x0, y0, x1, y1 = window
@@ -490,32 +480,3 @@ def witness_segments(window):
 REALIZABLE_MASKS = {
     m for m in range(16) if m not in (0b0101, 0b1010)
 }
-
-
-def test_witnesses_cover_all_realizable_masks():
-    found = witness_segments(WINDOW)
-    assert set(found) == REALIZABLE_MASKS
-
-
-def test_skala_agrees_with_oracle_on_every_mask_witness():
-    for mask, seg in witness_segments(WINDOW).items():
-        exact = ExactClipOutcome.of(seg, WINDOW)
-        got = skala_clip(*seg, *WINDOW)
-        if exact.grazing:
-            continue
-        if exact.accepted:
-            assert got is not None, (mask, seg)
-            expected = tuple(float(v) for v in exact.ends)
-            assert got == pytest.approx(expected, abs=1e-9), (mask, seg)
-        else:
-            assert got is None, (mask, seg)
-
-
-def test_alternating_masks_are_unreachable_and_map_to_empty():
-    # f(c0) + f(c2) == f(c1) + f(c3) for affine f on rectangle corners,
-    # so strictly alternating corner signs are impossible.
-    assert EDGE_TABLE[0b0101] == ()
-    assert EDGE_TABLE[0b1010] == ()
-    found = witness_segments(WINDOW)
-    assert 0b0101 not in found
-    assert 0b1010 not in found
