@@ -43,6 +43,7 @@ __all__ = [
     "mean_seconds",
     "speedup_percent",
     "render_report",
+    "REPORT_FORMATS",
     "parse_report",
     "CHUNK_SIZE",
 ]
@@ -377,13 +378,10 @@ def _fmt_seconds(value: float) -> str:
 
 def render_report(report: BenchReport, fmt: str) -> str:
     """Serialize a report; ``fmt`` is ``csv``, ``md`` (markdown) or ``json``."""
-    if fmt == "csv":
-        return _render_csv(report)
-    if fmt == "md":
-        return _render_markdown(report)
-    if fmt == "json":
-        return _render_json(report)
-    raise ValueError(f"unknown report format: {fmt!r}")
+    render = REPORT_FORMATS.get(fmt)
+    if render is None:
+        raise ValueError(f"unknown report format: {fmt!r}")
+    return render(report)
 
 
 def _render_csv(report: BenchReport) -> str:
@@ -451,6 +449,10 @@ def _render_json(report: BenchReport) -> str:
         "speedups_vs_proposed": report.speedups_vs_proposed,
     }
     return json.dumps(doc, indent=2) + "\n"
+
+
+# Each report format's renderer, in the order ``--format`` lists them.
+REPORT_FORMATS = {"csv": _render_csv, "md": _render_markdown, "json": _render_json}
 
 
 def parse_report(text: str) -> BenchReport:

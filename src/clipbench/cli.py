@@ -16,7 +16,7 @@ import re
 import stat
 import sys
 
-from .bench import BenchConfig, BenchInvariantError, render_report, run_bench
+from .bench import REPORT_FORMATS, BenchConfig, BenchInvariantError, render_report, run_bench
 from .clippers import AlgorithmId, clip
 from .verify import run_verification
 
@@ -102,7 +102,7 @@ def _make_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--lines", type=int, default=_DEFAULTS["lines_per_run"])
     p_bench.add_argument("--reps", type=int, default=_DEFAULTS["repetitions"])
     p_bench.add_argument("--seed", type=int, default=_DEFAULTS["seed"])
-    p_bench.add_argument("--format", choices=("csv", "md", "json"), default="md")
+    p_bench.add_argument("--format", choices=tuple(REPORT_FORMATS), default="md")
     _window_arg(p_bench, "space", "generation space bounds")
     _window_arg(p_bench, "window", "clip window bounds")
     p_bench.add_argument("--out", default=None, help="output path (default: stdout)")

@@ -5,7 +5,9 @@ resolved by direct interval intersection.  The general case walks the
 four boundaries (left, right, bottom, top) in turn: both endpoints
 beyond a boundary rejects, a single offending endpoint is moved onto
 that boundary using the explicit line equation through the original
-endpoints.
+endpoints.  A last test, which never fires in exact arithmetic, rejects
+when one endpoint lies strictly beyond an x bound and the other on or
+beyond it, as Proposed's step 3 does.
 """
 
 from __future__ import annotations
@@ -110,4 +112,17 @@ def clip_coords(x1, y1, x2, y2, xmin, ymin, xmax, ymax):
         bx = x1 + (x2 - x1) * (ymax - y1) / (y2 - y1)
         by = ymax
 
+    # A y move can round an x beyond a bound the walk has passed.
+    if ax < xmin:
+        if bx <= xmin:
+            return None
+    elif ax > xmax:
+        if bx >= xmax:
+            return None
+    elif bx < xmin:
+        if ax <= xmin:
+            return None
+    elif bx > xmax:
+        if ax >= xmax:
+            return None
     return (ax, ay, bx, by)

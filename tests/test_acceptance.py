@@ -5,11 +5,14 @@ ranking without failing the build, because absolute timings depend on
 the host.  Run with ``pytest tests/test_acceptance.py -v -s``.
 """
 
-import math
+import os
 import re
+import subprocess
+import sys
 
 import pytest
 
+import clipbench
 from clipbench.bench import _materialize, mean_seconds, speedup_percent
 from clipbench.cli import main
 from clipbench.clippers import KERNELS, AlgorithmId
@@ -19,6 +22,7 @@ from clipbench.oracle import ExactClipOutcome
 from clipbench.verify import adversarial_segments
 
 import reference_timings as ref
+from test_clippers import _check_mirrors, _check_result
 from test_oracle_equivalence import REALIZABLE_MASKS, witness_segments
 
 SPACE = ClipWindow(-960.0, -720.0, 960.0, 720.0)
@@ -71,79 +75,18 @@ def test_criterion_4_invariant_suite():
     n_random = 100_000
     buf, _ = _materialize(20260801, SPACE, n_random)
     cases = buf + adversarial_segments(WINDOW)
-    x0, y0, x1, y1 = WINDOW
-    mx0, my0, mx1, my1 = x0, -y1, x1, -y0  # x-axis mirror of the window
-    nx0, ny0, nx1, ny1 = -x1, y0, -x0, y1  # y-axis mirror of the window
-    pad = 1e-9 * max(1.0, x1 - x0, y1 - y0)
-    kernels = [(algo, KERNELS[algo]) for algo in AlgorithmId]
-    isfinite = math.isfinite
-    for sx1, sy1, sx2, sy2 in cases:
-        dx = sx2 - sx1
-        dy = sy2 - sy1
-        degenerate = dx == 0.0 and dy == 0.0
-        if not degenerate:
-            norm = math.hypot(dx, dy)
-            scale = max(1.0, abs(sx1), abs(sy1), abs(sx2), abs(sy2))
-            line_tol = 1e-6 * scale * norm
-            d2 = dx * dx + dy * dy
-        for algo, kernel in kernels:
-            res = kernel(sx1, sy1, sx2, sy2, x0, y0, x1, y1)
-            mirror_x = kernel(sx1, -sy1, sx2, -sy2, mx0, my0, mx1, my1)
-            mirror_y = kernel(-sx1, sy1, -sx2, sy2, nx0, ny0, nx1, ny1)
+    for seg in cases:
+        for kernel in KERNELS.values():
+            res = kernel(*seg, *WINDOW)
+            _check_mirrors(kernel, seg, WINDOW, res)
             if res is None:
-                assert mirror_x is None and mirror_y is None, (algo, (sx1, sy1, sx2, sy2))
                 continue
-            ax, ay, bx, by = res
-            # Totality.
-            assert isfinite(ax) and isfinite(ay) and isfinite(bx) and isfinite(by), (
-                algo,
-                (sx1, sy1, sx2, sy2),
-            )
-            # Containment in the tolerance-padded window.
-            assert x0 - pad <= ax <= x1 + pad and y0 - pad <= ay <= y1 + pad, (
-                algo,
-                (sx1, sy1, sx2, sy2),
-                res,
-            )
-            assert x0 - pad <= bx <= x1 + pad and y0 - pad <= by <= y1 + pad, (
-                algo,
-                (sx1, sy1, sx2, sy2),
-                res,
-            )
-            # Collinearity and parametric sub-segment ordering.
-            if degenerate:
-                assert (ax, ay, bx, by) == (sx1, sy1, sx1, sy1), (algo, res)
-            else:
-                assert abs(dy * (ax - sx1) - dx * (ay - sy1)) <= line_tol, (algo, res)
-                assert abs(dy * (bx - sx1) - dx * (by - sy1)) <= line_tol, (algo, res)
-                ta = ((ax - sx1) * dx + (ay - sy1) * dy) / d2
-                tb = ((bx - sx1) * dx + (by - sy1) * dy) / d2
-                assert -1e-9 <= ta <= 1.0 + 1e-9, (algo, res, ta)
-                assert -1e-9 <= tb <= 1.0 + 1e-9, (algo, res, tb)
-                assert ta <= tb + 1e-9, (algo, res, ta, tb)
+            _check_result(res, seg, WINDOW)
             # Idempotence: re-clipping the result leaves it in place.
-            again = kernel(ax, ay, bx, by, x0, y0, x1, y1)
-            assert again is not None, (algo, res)
-            assert (
-                abs(again[0] - ax) <= 1e-9
-                and abs(again[1] - ay) <= 1e-9
-                and abs(again[2] - bx) <= 1e-9
-                and abs(again[3] - by) <= 1e-9
-            ), (algo, res, again)
-            # Reflection equivariance for both axis mirrors.
-            assert mirror_x is not None and mirror_y is not None, (algo, res)
-            assert (
-                abs(mirror_x[0] - ax) <= 1e-9
-                and abs(mirror_x[1] + ay) <= 1e-9
-                and abs(mirror_x[2] - bx) <= 1e-9
-                and abs(mirror_x[3] + by) <= 1e-9
-            ), (algo, res, mirror_x)
-            assert (
-                abs(mirror_y[0] + ax) <= 1e-9
-                and abs(mirror_y[1] - ay) <= 1e-9
-                and abs(mirror_y[2] + bx) <= 1e-9
-                and abs(mirror_y[3] - by) <= 1e-9
-            ), (algo, res, mirror_y)
+            again = kernel(*res, *WINDOW)
+            assert again is not None and all(
+                abs(a - r) <= 1e-9 for a, r in zip(again, res)
+            ), (kernel.__module__, seg, res, again)
     print(
         f"ACCEPTANCE 4 PASS: containment, collinearity, idempotence, reflection "
         f"and totality hold for {n_random} seeded + {len(cases) - n_random} "
@@ -188,31 +131,26 @@ STREAM_PINS_1M = {
 
 
 @pytest.fixture(scope="module")
-def bench_1m_runs(tmp_path_factory):
-    """Two independent 1M-line x 3-rep CLI bench runs at seed 1, as csv
-    rows (algorithm, run, seconds, accepted, checksum); criterion 6 checks
-    them and criterion 7 ranks their seconds."""
-    runs = []
-    for i in range(2):
-        path = tmp_path_factory.mktemp("bench") / f"report{i}.csv"
-        code = main(
-            [
-                "bench",
-                "--lines",
-                "1000000",
-                "--reps",
-                "3",
-                "--seed",
-                "1",
-                "--format",
-                "csv",
-                "--out",
-                str(path),
-            ]
-        )
-        assert code == 0
-        runs.append([line.split(",") for line in path.read_text().strip().split("\n")[1:]])
-    return runs
+def bench_1m_runs():
+    """Two independent 1M-line x 3-rep CLI bench runs at seed 1, each in a
+    fresh process on this package's source, started together, as csv
+    rows (algorithm, run, seconds, accepted, checksum); criterion 6
+    checks them and criterion 7 ranks their seconds."""
+    src = os.path.dirname(os.path.dirname(clipbench.__file__))
+    paths = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+    argv = [sys.executable, "-m", "clipbench.cli", "bench", "--lines", "1000000",
+            "--reps", "3", "--seed", "1", "--format", "csv"]
+    children = [subprocess.Popen(argv, env=env, stdout=subprocess.PIPE,
+                                 stderr=subprocess.PIPE, text=True) for _ in range(2)]
+    try:
+        outputs = [child.communicate(timeout=600) for child in children]
+    finally:
+        for child in children:
+            child.kill()
+    for child, (_, err) in zip(children, outputs):
+        assert child.returncode == 0, err
+    return [[line.split(",") for line in out.strip().split("\n")[1:]] for out, _ in outputs]
 
 
 def test_criterion_6_benchmark_determinism(bench_1m_runs, capsys):

@@ -13,6 +13,7 @@ from clipbench.bench import (
     BenchConfig,
     BenchInvariantError,
     BenchReport,
+    REPORT_FORMATS,
     RunTiming,
     mean_seconds,
     parse_report,
@@ -644,8 +645,10 @@ def test_markdown_has_run_rows_and_speedups():
 
 def test_unknown_format_rejected():
     cfg = BenchConfig(lines_per_run=5, repetitions=1, seed=1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^unknown report format: 'yaml'$"):
         render_report(run_bench(cfg), "yaml")
+    # One table names the formats, in the order the CLI lists them.
+    assert tuple(REPORT_FORMATS) == ("csv", "md", "json")
 
 
 def test_markdown_columns_follow_fixed_order_for_any_request_order():

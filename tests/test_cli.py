@@ -65,6 +65,20 @@ def test_clip_accepts_every_algorithm_key(capsys):
         assert out.startswith("ACCEPT")
 
 
+@pytest.mark.parametrize("key", [algo.value.lower() for algo in AlgorithmId])
+def test_clip_rejects_a_segment_one_ulp_below_the_window(capsys, key):
+    # The segment runs one ULP below the bottom edge and out past the
+    # right one.  KWC and Proposed used to accept it, and its mirrors, as
+    # ACCEPT 150 -75 100 -75: a result 50 units outside the window.
+    for sx, sy in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
+        seg = (-100 * sx, -75.00000000000001 * sy, 150 * sx, -75 * sy)
+        code, out, _ = run_cli(
+            capsys, "clip", "--algorithm", key, "--seg", *map(repr, seg),
+            "--window", "-100", "-75", "100", "75",
+        )
+        assert (code, out) == (0, "REJECT\n"), seg
+
+
 def test_clip_unknown_algorithm_exits_2(capsys):
     code, _, err = run_cli(
         capsys, "clip", "--algorithm", "bresenham",
@@ -173,6 +187,12 @@ def test_bench_csv_shape(capsys):
     lines = out.strip().split("\n")
     assert lines[0] == "algorithm,run,seconds,accepted,checksum"
     assert len(lines) == 1 + 14  # 7 algorithms x 2 runs
+
+
+def test_bench_unknown_format_exits_2(capsys):
+    code, out, err = run_cli(capsys, "bench", "--lines", "10", "--format", "yaml")
+    assert (code, out) == (2, "")
+    assert "invalid choice: 'yaml' (choose from 'csv', 'md', 'json')" in err
 
 
 def test_bench_markdown_has_avg_and_speedup_rows(capsys):
