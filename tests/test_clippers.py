@@ -245,11 +245,18 @@ def _with_corner_lines(test):
 @_with_corner_lines
 @given(seg=segments, window=windows())
 def test_accepted_results_are_contained_collinear_ordered(algo, seg, window):
-    kernel = KERNELS[algo]
-    res = kernel(*seg, *window)
-    _check_mirrors(kernel, seg, window, res)
+    res = KERNELS[algo](*seg, *window)
     if res is not None:
         _check_result(res, seg, window)
+
+
+@pytest.mark.parametrize("algo", ALGOS, ids=lambda a: a.value)
+@settings(max_examples=250, deadline=None)
+@_with_corner_lines
+@given(seg=segments, window=windows())
+def test_reflection_equivariance(algo, seg, window):
+    kernel = KERNELS[algo]
+    _check_mirrors(kernel, seg, window, kernel(*seg, *window))
 
 
 # Scaling every input by 2**k is exact in doubles, so each kernel's result
