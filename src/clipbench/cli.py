@@ -142,7 +142,7 @@ def _cmd_bench(args) -> int:
         seed=args.seed,
         algorithms=_parse_algorithms(args.algorithms),
     )
-    if not args.out:
+    if args.out is None:
         sys.stdout.write(render_report(run_bench(config), args.format))
         return 0
     # Open --out before the run, so a bad path costs no benchmark time, and

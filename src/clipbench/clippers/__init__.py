@@ -55,14 +55,17 @@ KERNELS: dict[AlgorithmId, Callable[..., tuple | None]] = {
 }
 
 
-def clip(algorithm: AlgorithmId, seg: Segment, window: ClipWindow) -> Segment | None:
-    """Clip ``seg`` to ``window`` with the kernel of ``algorithm``: the
-    retained part as a ``Segment``, or None when the kernel rejects.
+def clip(algorithm: AlgorithmId | str, seg: Segment, window: ClipWindow) -> Segment | None:
+    """Clip ``seg`` to ``window`` with the kernel of ``algorithm``, an
+    ``AlgorithmId`` or its report spelling (``"Proposed"``): the retained
+    part as a ``Segment``, or None when the kernel rejects.
 
-    Raises ValueError for a bad segment or window, and for a pair outside
-    the kernels' exact domain: the box around both must pass the check
-    that ``bench`` and ``verify`` make of their generation space.
+    Raises ValueError for a spelling that names no algorithm, for a bad
+    segment or window, and for a pair outside the kernels' exact domain:
+    the box around both must pass the check that ``bench`` and ``verify``
+    make of their generation space.
     """
+    algorithm = AlgorithmId(algorithm)
     window = ClipWindow(*window)
     seg = Segment(*seg)
     x1, y1, x2, y2 = seg

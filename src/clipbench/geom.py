@@ -17,9 +17,12 @@ __all__ = [
 ]
 
 
-def _require_finite(name: str, value: float) -> None:
+def _require_finite(name: str, value: float) -> float:
+    """``value`` as a double.  A non-number (a str, None or a complex)
+    raises TypeError, and a value that is not finite ValueError."""
     if not math.isfinite(value):
         raise ValueError(f"{name} must be finite, got {value!r}")
+    return float(value)
 
 
 def _checked_make(cls, iterable):
@@ -30,34 +33,32 @@ def _checked_make(cls, iterable):
 class Segment(namedtuple("Segment", "x1 y1 x2 y2")):
     """Directed segment from (x1, y1) to (x2, y2), the kernels' own form.
 
-    Every coordinate must be finite.  Degenerate segments, where both
-    endpoints are equal, are legal.
+    Every coordinate must be finite, and is stored as a double.
+    Degenerate segments, where both endpoints are equal, are legal.
     """
 
     __slots__ = ()
 
     def __new__(cls, x1: float, y1: float, x2: float, y2: float) -> "Segment":
-        self = super().__new__(cls, x1, y1, x2, y2)
-        for name, value in zip(self._fields, self):
-            _require_finite(name, value)
-        return self
+        return super().__new__(cls, *map(_require_finite, cls._fields, (x1, y1, x2, y2)))
 
     _make = classmethod(_checked_make)
 
 
 class ClipWindow(namedtuple("ClipWindow", "xmin ymin xmax ymax")):
-    """Axis-aligned clip rectangle with strictly ordered, finite bounds.
+    """Axis-aligned clip rectangle with strictly ordered, finite bounds,
+    each stored as a double.
 
     Callers must pass bounds in ascending order; nothing is swapped
-    silently because that tends to hide caller bugs.
+    silently because that tends to hide caller bugs.  The order is
+    checked on the doubles.
     """
 
     __slots__ = ()
 
     def __new__(cls, xmin: float, ymin: float, xmax: float, ymax: float) -> "ClipWindow":
-        self = super().__new__(cls, xmin, ymin, xmax, ymax)
-        for name, value in zip(self._fields, self):
-            _require_finite(name, value)
+        self = super().__new__(cls, *map(_require_finite, cls._fields, (xmin, ymin, xmax, ymax)))
+        xmin, ymin, xmax, ymax = self
         if not (xmin < xmax):
             raise ValueError(f"xmin must be < xmax, got {xmin} >= {xmax}")
         if not (ymin < ymax):

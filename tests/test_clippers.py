@@ -1,4 +1,6 @@
 import math
+from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -113,9 +115,15 @@ def test_dispatch_covers_every_algorithm():
     window = ClipWindow(-100.0, -75.0, 100.0, 75.0)
     stream, _ = _materialize(1, ClipWindow(-960.0, -720.0, 960.0, 720.0), 2_000)
     for algo in AlgorithmId:
-        assert clip(algo, Segment(-200, -200, 200, 200), W) == pytest.approx(
-            (-75, -75, 75, 75), abs=1e-9
-        )
+        # The records hold doubles, so int, Fraction and Decimal forms of
+        # the segment and window give the float form's result bit for
+        # bit; clip takes the report spelling of an algorithm too.
+        want = clip(algo, Segment(-200.0, -200.0, 200.0, 200.0), window)
+        assert want == pytest.approx((-75, -75, 75, 75), abs=1e-9)
+        for form, name in ((int, algo), (Fraction, algo), (Decimal, algo), (int, algo.value)):
+            got = clip(name, Segment(*map(form, (-200, -200, 200, 200))), ClipWindow(*map(form, W)))
+            assert all(type(v) is float for v in got), (algo, form, got)
+            assert [v.hex() for v in got] == [v.hex() for v in want], (algo, form)
         for s in stream + adversarial_segments(window):
             want = KERNELS[algo](*s, *window)
             got = clip(algo, Segment(*s), window)
@@ -124,6 +132,8 @@ def test_dispatch_covers_every_algorithm():
             else:
                 assert type(got) is Segment, (algo, s)
                 assert [v.hex() for v in got] == [v.hex() for v in want], (algo, s)
+    with pytest.raises(ValueError, match="'proposed' is not a valid AlgorithmId"):
+        clip("proposed", Segment(0.0, 0.0, 1.0, 1.0), window)
 
 
 def test_clip_refuses_a_pair_outside_the_exact_domain():

@@ -6,6 +6,8 @@ that the acceptance suite validates."""
 import math
 import random
 from collections import namedtuple
+from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 
@@ -171,10 +173,16 @@ def test_sweep_takes_any_four_bounds_and_refuses_bad_ones():
     # as a BenchConfig takes them.
     report = run_verification(300, 4, SPACE, WINDOW)
     assert run_verification(300, 4, tuple(SPACE), list(WINDOW)) == report
-    for bad in ((math.nan, -75.0, 100.0, 75.0), (100.0, -75.0, -100.0, 75.0)):
-        with pytest.raises(ValueError):
+    # The records hold doubles, so int, Fraction and Decimal bounds give
+    # the float sweep.
+    for form in (int, Fraction, Decimal):
+        assert run_verification(300, 4, map(form, SPACE), map(form, WINDOW)) == report, form
+    for bad, error in (((math.nan, -75.0, 100.0, 75.0), ValueError),
+                       ((100.0, -75.0, -100.0, 75.0), ValueError),
+                       (("-100", -75.0, 100.0, 75.0), TypeError)):
+        with pytest.raises(error):
             run_verification(300, 4, SPACE, bad)
-        with pytest.raises(ValueError):
+        with pytest.raises(error):
             run_verification(300, 4, bad, WINDOW)
     # cases and seed must be ints, as BenchConfig's counts and seed are;
     # a bool is not one.
