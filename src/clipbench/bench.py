@@ -23,7 +23,7 @@ import sys
 import time
 from collections import namedtuple
 from itertools import compress
-from math import inf
+from math import fsum, isinf, ldexp
 
 # hashlib binds blake2b to this same builtin object, but importing
 # hashlib also loads OpenSSL, which nothing here uses.
@@ -195,8 +195,9 @@ class RunTiming(namedtuple("RunTiming", "algorithm run_index seconds accepted_co
     checked however it is built: ``algorithm`` is stored as an
     ``AlgorithmId``, converting a report spelling as ``BenchConfig`` does.
     ValueError unless it names one, ``run_index`` >= 1 and
-    ``accepted_count`` >= 0 are ints (not bools), ``seconds`` is a finite
-    int or float >= 0 and ``checksum`` an int in [0, 2^64)."""
+    ``accepted_count`` >= 0 are ints (not bools), ``seconds`` is an int
+    or float from 0 to the largest double and ``checksum`` an int in
+    [0, 2^64)."""
 
     __slots__ = ()
 
@@ -204,8 +205,8 @@ class RunTiming(namedtuple("RunTiming", "algorithm run_index seconds accepted_co
         algorithm = AlgorithmId(algorithm)
         _require_count("run_index", run_index, 1)
         _require_count("accepted_count", accepted_count, 0)
-        if type(seconds) not in (int, float) or not 0 <= seconds < inf:
-            raise ValueError(f"seconds must be a finite int or float >= 0, got {seconds!r}")
+        if type(seconds) not in (int, float) or not 0 <= seconds <= sys.float_info.max:
+            raise ValueError(f"seconds must be an int or float in [0, float max], got {seconds!r}")
         if type(checksum) is not int or not 0 <= checksum <= MASK64:
             raise ValueError(f"checksum must be an int in [0, 2**64), got {checksum!r}")
         return super().__new__(cls, algorithm, run_index, seconds, accepted_count, checksum)
@@ -304,11 +305,17 @@ class _ResultFold:
 
 
 def mean_seconds(values) -> float:
-    """Arithmetic mean at full precision; rounding is display-only."""
+    """Arithmetic mean at full precision; rounding is display-only.  The
+    mean of finite values is finite, even where their sum overflows."""
     values = list(values)
     if not values:
         raise ValueError("mean of an empty sequence")
-    return sum(values) / len(values)
+    mean = sum(values) / len(values)
+    if isinf(mean):
+        # Scaled down by 2^k >= len(values), which is exact, the sum cannot overflow.
+        k = len(values).bit_length()
+        mean = ldexp(fsum(ldexp(v, -k) for v in values) / len(values), k)
+    return mean
 
 
 def speedup_percent(proposed_avg: float, other_avg: float) -> float:

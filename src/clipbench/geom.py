@@ -19,8 +19,13 @@ __all__ = [
 
 def _require_finite(name: str, value: float) -> float:
     """``value`` as a double.  A non-number (a str, None or a complex)
-    raises TypeError, and a value that is not finite ValueError."""
-    if not math.isfinite(value):
+    raises TypeError, and a value that is not finite or lies beyond the
+    double range, such as the int 10**400, ValueError."""
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:
+        raise ValueError(f"{name} must lie in the double range") from None
+    if not finite:
         raise ValueError(f"{name} must be finite, got {value!r}")
     return float(value)
 

@@ -225,6 +225,7 @@ def test_config_rejects_bad_seed_and_duplicates():
     ("seed", 1.0),
     ("repetitions", True),
     ("algorithms", ("cs",)),
+    ("space", (-10**400, -720, 960, 720)),  # beyond the double range
 ])
 def test_config_rejects_bad_fields_on_every_construction_path(name, bad, path):
     good = BenchConfig()
@@ -306,12 +307,6 @@ def test_report_shape_single_line_single_rep():
         assert t.seconds > 0
         assert t.run_index == 1
         assert 0 <= t.accepted_count <= 1
-
-
-def test_report_completeness():
-    cfg = BenchConfig(lines_per_run=100, repetitions=3, seed=11)
-    report = run_bench(cfg)
-    assert len(report.timings) == 7 * 3
 
 
 def test_equal_seed_equal_accepted_across_algorithms_and_oracle():
@@ -596,6 +591,7 @@ def _set_every(doc, key, value):
     (KeyError, lambda doc, rows: doc["config"].pop("seed")),
     (ValueError, lambda doc, rows: _set(rows["CS", 2], "seconds", math.inf)),
     (ValueError, lambda doc, rows: _set(rows["CS", 2], "seconds", -1.0)),
+    (ValueError, lambda doc, rows: _set(rows["CS", 2], "seconds", 10**400)),
     (ValueError, lambda doc, rows: _set(rows["CS", 1], "run", 1.0)),
     (ValueError, lambda doc, rows: _set(rows["CS", 1], "run", True)),
     (ValueError, lambda doc, rows: _set_every(doc, "accepted", -1)),
@@ -604,8 +600,8 @@ def _set_every(doc, key, value):
     (ValueError, lambda doc, rows: _set_every(doc, "checksum", 2**64)),
 ], ids=["duplicate-run", "extra-run", "missing-run", "foreign-algorithm", "run-7-of-2",
         "lowercase-algorithm", "accepted-count", "checksum", "missing-config-key",
-        "infinite-seconds", "negative-seconds", "float-run", "bool-run", "negative-accepted",
-        "float-accepted", "negative-checksum", "checksum-past-64-bits"])
+        "infinite-seconds", "negative-seconds", "seconds-past-float-max", "float-run", "bool-run",
+        "negative-accepted", "float-accepted", "negative-checksum", "checksum-past-64-bits"])
 def test_parse_report_rejects_an_edited_report(report_json, error, edit):
     with pytest.raises(error):
         parse_report(_edited(report_json, edit))
@@ -676,20 +672,23 @@ def test_markdown_columns_follow_fixed_order_for_any_request_order():
     assert header == "| Exec. | CS | Skala | Proposed |"
 
 
-@pytest.mark.parametrize("seconds, cell", [
-    (1e24, "1" + "0" * 24 + ".000"),
-    (1e30, "1" + "0" * 30 + ".000"),
-    (sys.float_info.max, "17976931348623157" + "0" * 292 + ".000"),
-], ids=["1e24", "1e30", "float-max"])
-def test_markdown_renders_any_finite_timing(seconds, cell):
-    # RunTiming takes any finite seconds >= 0, so the table must show
-    # them all, beyond the 28 digits of the default decimal context.
-    cfg = BenchConfig(lines_per_run=20, repetitions=1, seed=1,
+@pytest.mark.parametrize("seconds, reps, cell", [
+    (1e24, 1, "1" + "0" * 24 + ".000"),
+    (1e30, 1, "1" + "0" * 30 + ".000"),
+    (sys.float_info.max, 1, "17976931348623157" + "0" * 292 + ".000"),
+    (sys.float_info.max, 2, "17976931348623157" + "0" * 292 + ".000"),
+], ids=["1e24", "1e30", "float-max", "float-max-two-reps"])
+def test_markdown_renders_any_finite_timing(seconds, reps, cell):
+    # RunTiming takes any seconds from 0 to the largest double, so the
+    # table must show them all, beyond the 28 digits of the default
+    # decimal context, and their mean, whose sum may overflow.
+    cfg = BenchConfig(lines_per_run=20, repetitions=reps, seed=1,
                       algorithms=(AlgorithmId.PROPOSED,))
     report = run_bench(cfg)
-    report = report._replace(timings=[report.timings[0]._replace(seconds=seconds)])
+    report = report._replace(timings=[t._replace(seconds=seconds) for t in report.timings])
     md = render_report(report, "md").splitlines()
-    assert f"| 1 | {cell} |" in md and f"| Avg | {cell} |" in md
+    assert all(f"| {row} | {cell} |" in md for row in [*range(1, reps + 1), "Avg"])
+    assert json.loads(render_report(report, "json"))["averages"] == {"Proposed": seconds}
 
 
 def test_report_averages_match_timings():

@@ -14,7 +14,7 @@ from clipbench.cli import format_double, main
 from clipbench.clippers import KERNELS, AlgorithmId
 from clipbench.geom import ClipWindow
 from clipbench.oracle import ExactClipOutcome
-from clipbench.verify import adversarial_segments, run_verification
+from clipbench.verify import adversarial_segments
 
 VERIFY_LINE = re.compile(r"^\w+: \d+ match, \d+ grazing-exempt, (\d+) MISMATCH$")
 
@@ -487,27 +487,3 @@ def test_verify_corner_tangents_touch_their_corner_where_half_extents_round(
     # On the window's scale: no longer than twice its extent on either axis.
     assert all(abs(seg[2] - seg[0]) <= 2 * (x1 - x0) and abs(seg[3] - seg[1]) <= 2 * (y1 - y0)
                for seg in tangents)
-
-
-def test_injected_bug_is_caught():
-    # An off-by-one boundary bug: the clamp targets sit half a unit
-    # inside the real window, so accepted endpoints drift off the exact
-    # clip by far more than the tolerance.
-    real = KERNELS[AlgorithmId.PROPOSED]
-
-    def buggy(x1, y1, x2, y2, xmin, ymin, xmax, ymax):
-        return real(x1, y1, x2, y2, xmin + 0.5, ymin + 0.5, xmax - 0.5, ymax - 0.5)
-
-    report = run_verification(
-        cases=500,
-        seed=3,
-        space=ClipWindow(-960, -720, 960, 720),
-        window=ClipWindow(-100, -75, 100, 75),
-        kernels={AlgorithmId.PROPOSED: buggy},
-    )
-    assert not report.ok
-    broken = next(c for c in report.checks if c.algorithm is AlgorithmId.PROPOSED)
-    assert broken.mismatches > 0
-    assert 0 < len(broken.failures) <= 10
-    clean = [c for c in report.checks if c.algorithm is not AlgorithmId.PROPOSED]
-    assert all(c.mismatches == 0 for c in clean)

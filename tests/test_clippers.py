@@ -9,7 +9,7 @@ from clipbench.bench import _materialize
 from clipbench.clippers import KERNELS, AlgorithmId, clip
 from clipbench.clippers.skala import EDGE_TABLE
 from clipbench.geom import ClipWindow, Segment
-from clipbench.verify import adversarial_segments
+from clipbench.verify import _accept_fault, adversarial_segments
 
 W = ClipWindow(-100, -75, 100, 75)
 ALGOS = list(AlgorithmId)
@@ -174,39 +174,27 @@ def windows(draw):
     return ClipWindow(x0, y0, x0 + wsize, y0 + hsize)
 
 
-def _param_of(px, py, x1, y1, dx, dy):
-    # Dominant-axis parameter; robust even for subnormal directions
-    # where dx*dx + dy*dy would underflow.
-    if abs(dx) >= abs(dy):
-        return (px - x1) / dx
-    return (py - y1) / dy
-
-
 def _check_result(res, seg, window):
-    """The accept contract: every coordinate finite, both points in the
-    window padded by 1e-9 of its extent, a point segment returned as
-    itself, and otherwise both points on the segment's line and in its
-    parameter order."""
-    x1, y1, x2, y2 = seg
-    ax, ay, bx, by = res
-    xmin, ymin, xmax, ymax = window
-    assert all(map(math.isfinite, res)), (seg, res)
-    pad = 1e-9 * max(1.0, xmax - xmin, ymax - ymin)
-    for px, py in ((ax, ay), (bx, by)):
-        assert xmin - pad <= px <= xmax + pad and ymin - pad <= py <= ymax + pad, (seg, res)
-    dx = x2 - x1
-    dy = y2 - y1
-    if dx == 0 and dy == 0:
-        assert (ax, ay, bx, by) == (x1, y1, x1, y1), (seg, res)
-        return
-    norm = math.hypot(dx, dy)
-    scale = max(1.0, abs(x1), abs(y1), abs(x2), abs(y2))
-    for px, py in ((ax, ay), (bx, by)):
-        assert abs(dy * (px - x1) - dx * (py - y1)) / norm <= 1e-6 * scale, (seg, res)
-    ta = _param_of(ax, ay, x1, y1, dx, dy)
-    tb = _param_of(bx, by, x1, y1, dx, dy)
-    assert -1e-9 <= ta <= 1 + 1e-9 and -1e-9 <= tb <= 1 + 1e-9, (seg, res, ta, tb)
-    assert ta <= tb + 1e-9, (seg, res, ta, tb)
+    """Assert the accept contract, ``verify._accept_fault``."""
+    fault = _accept_fault(res, seg, window)
+    assert fault is None, (fault, seg, res)
+
+
+@pytest.mark.parametrize("seg, res, fault", [
+    ((10, 10, 50, 50), (10, 10, 50, 50), None),  # untouched
+    ((-200, 0, 200, 80), (-100, 20, 100, 60), None),  # clipped
+    ((10, 10, 10, 10), (10, 10, 10, 10), None),  # a point
+    ((200, 0, -200, 0), (100, 0, -100, 0), None),  # reversed
+    ((-200, 0, 200, 0), (math.nan, 0, 100, 0), "a coordinate is not finite"),
+    ((-200, 0, 200, 0), (-150, 0, 100, 0), "a point lies outside the padded window"),
+    ((10, 10, 10, 10), (10, 10, 10, 10.5), "a point segment is not returned as itself"),
+    ((-200, 0, 200, 0), (-100, 1, 100, 0), "a point lies off the segment's line"),
+    ((-200, 0, 200, 0), (100, 0, -100, 0), "the points are out of the segment's parameter order"),
+    ((0, 0, 50, 0), (0, 0, 60, 0), "the points are out of the segment's parameter order"),
+], ids=["untouched", "clipped", "point", "reversed", "not-finite", "outside", "moved-point",
+        "off-line", "swapped", "past-the-end"])
+def test_accept_fault_names_the_one_rule_a_result_breaks(seg, res, fault):
+    assert _accept_fault(res, seg, W) == fault
 
 
 def _check_mirrors(kernel, seg, window, res):

@@ -77,8 +77,10 @@ BAD_FIELDS = [
         ("seconds", math.inf), ("seconds", math.nan), ("seconds", -0.5), ("seconds", "0.5"),
         ("seconds", False), ("accepted_count", -1), ("accepted_count", 3.0),
         ("accepted_count", False), ("checksum", -1), ("checksum", 2**64), ("checksum", 7.0),
-        ("checksum", True), ("algorithm", "cs"), ("algorithm", None),
+        ("checksum", True), ("algorithm", "cs"), ("algorithm", None), ("seconds", 10**400),
     )),
+    (Segment(0.0, 0.0, 1.0, 1.0), "x1", 10**400),  # beyond the double range
+    (Segment(0.0, 0.0, 1.0, 1.0), "x1", Fraction(10**400, 3)),
 ]
 
 

@@ -5,7 +5,8 @@
 that imports the CLI and both harnesses.  ``ExactClipOutcome`` imports
 ``Fraction`` when it builds an accept, and markdown rendering imports
 ``Decimal``; only a cold process can exercise those first uses, since
-this test process has imported both long before.
+this test process has imported both long before.  A ``verify`` sweep
+loads neither.
 """
 
 import hashlib
@@ -26,6 +27,11 @@ from clipbench import bench, cli, verify
 unused = ("_hashlib", "fractions", "decimal", "typing", "dataclasses", "inspect")
 loaded = [m for m in unused if m in sys.modules]
 assert not loaded, f"loaded at start-up: {loaded}"
+
+# A sweep, the accept contract on the suite's grazing accepts included,
+# settles every case without Fraction or Decimal.
+assert cli.main(["verify", "--cases", "10"]) == 0
+assert not {"fractions", "decimal"} & set(sys.modules), "loaded by verify"
 
 from fractions import Fraction
 
