@@ -23,7 +23,7 @@ import sys
 import time
 from collections import namedtuple
 from itertools import compress
-from math import fsum, isinf, ldexp
+from math import copysign, fsum, isfinite, isinf, ldexp
 
 # hashlib binds blake2b to this same builtin object, but importing
 # hashlib also loads OpenSSL, which nothing here uses.
@@ -196,8 +196,9 @@ class RunTiming(namedtuple("RunTiming", "algorithm run_index seconds accepted_co
     ``AlgorithmId``, converting a report spelling as ``BenchConfig`` does.
     ValueError unless it names one, ``run_index`` >= 1 and
     ``accepted_count`` >= 0 are ints (not bools), ``seconds`` is an int
-    or float from 0 to the largest double and ``checksum`` an int in
-    [0, 2^64)."""
+    or float from +0 to the largest double, since a timer that starts
+    at 0.0 and adds elapsed times never reaches -0.0, and ``checksum``
+    an int in [0, 2^64)."""
 
     __slots__ = ()
 
@@ -205,8 +206,9 @@ class RunTiming(namedtuple("RunTiming", "algorithm run_index seconds accepted_co
         algorithm = AlgorithmId(algorithm)
         _require_count("run_index", run_index, 1)
         _require_count("accepted_count", accepted_count, 0)
-        if type(seconds) not in (int, float) or not 0 <= seconds <= sys.float_info.max:
-            raise ValueError(f"seconds must be an int or float in [0, float max], got {seconds!r}")
+        if (type(seconds) not in (int, float) or not 0 <= seconds <= sys.float_info.max
+                or copysign(1.0, seconds) < 0):
+            raise ValueError(f"seconds must be an int or float in [+0, float max], got {seconds!r}")
         if type(checksum) is not int or not 0 <= checksum <= MASK64:
             raise ValueError(f"checksum must be an int in [0, 2**64), got {checksum!r}")
         return super().__new__(cls, algorithm, run_index, seconds, accepted_count, checksum)
@@ -259,12 +261,15 @@ class BenchReport(namedtuple("BenchReport", "config timings")):
 
     @property
     def speedups_vs_proposed(self) -> dict[str, float]:
-        """Each other algorithm's ``speedup_percent``; empty without Proposed."""
+        """Each other algorithm's ``speedup_percent``, leaving out one that
+        is not finite: empty without Proposed or when Proposed averages
+        0 seconds, and without an entry that overflows."""
         averages = self.averages
-        if AlgorithmId.PROPOSED.value not in averages:
+        ref = averages.pop(AlgorithmId.PROPOSED.value, 0.0)
+        if ref == 0.0:
             return {}
-        ref = averages.pop(AlgorithmId.PROPOSED.value)
-        return {name: speedup_percent(ref, avg) for name, avg in averages.items()}
+        speedups = {name: speedup_percent(ref, avg) for name, avg in averages.items()}
+        return {name: pct for name, pct in speedups.items() if isfinite(pct)}
 
 
 _PACK_RECORD = struct.Struct("<Q4d")

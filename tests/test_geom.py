@@ -5,14 +5,17 @@ from fractions import Fraction
 
 import pytest
 
-from clipbench.bench import RunTiming
+import clipbench
+from clipbench.bench import BenchConfig, BenchReport, RunTiming
 from clipbench.clippers import AlgorithmId
-from clipbench.geom import ClipWindow, Segment, require_window_in_space
+from clipbench.geom import ClipWindow, Segment, _checked_make, require_window_in_space
 from clipbench.oracle import ExactClipOutcome
-from clipbench.verify import AlgorithmCheck
+from clipbench.verify import AlgorithmCheck, VerificationReport
 
 W = ClipWindow(-100, -75, 100, 75)
 TIMING = RunTiming(AlgorithmId.KWC, 1, 0.25, 3, 2**64 - 1)
+REPORT = BenchReport(BenchConfig(repetitions=1, algorithms=(AlgorithmId.KWC,)), [TIMING])
+CHECK = AlgorithmCheck(AlgorithmId.KWC, 1, 2, 3, (((0.0, 1.0, 2.0, 3.0), "reason"),))
 
 
 def test_window_in_space_is_boundary_inclusive():
@@ -61,7 +64,8 @@ def test_degenerate_segment_is_legal():
 
 
 # The records are immutable named tuples: each check runs however a
-# value is built, and a value survives a pickle round trip.
+# value is built, and a value survives a pickle round trip.  BAD_FIELDS
+# is the one table of bad fields, each with a good record to start from.
 
 BAD_FIELDS = [
     (Segment(0.0, 0.0, 1.0, 1.0), "x1", math.nan),
@@ -81,6 +85,16 @@ BAD_FIELDS = [
     )),
     (Segment(0.0, 0.0, 1.0, 1.0), "x1", 10**400),  # beyond the double range
     (Segment(0.0, 0.0, 1.0, 1.0), "x1", Fraction(10**400, 3)),
+    *((BenchConfig(), name, bad) for name, bad in (
+        ("window", ClipWindow(-1000.0, -75.0, 100.0, 75.0)),  # outside the space
+        ("lines_per_run", 0), ("repetitions", 0), ("seed", 2**64), ("algorithms", ()),
+        ("algorithms", (AlgorithmId.KWC, AlgorithmId.KWC)), ("lines_per_run", 5.5),
+        ("repetitions", 2.0), ("seed", 1.0), ("repetitions", True), ("algorithms", ("cs",)),
+        ("space", (-10**400, -720, 960, 720)),  # beyond the double range
+        ("seed", -1), ("space", ClipWindow(-50.0, -50.0, 50.0, 50.0)),  # smaller than the window
+    )),
+    (REPORT, "timings", ()),  # no timing for the config's one run
+    (TIMING, "seconds", -0.0),  # no timer reaches it
 ]
 
 
@@ -97,11 +111,14 @@ def test_bad_record_raises_on_every_construction_path(good, name, bad, path):
         build()
 
 
-@pytest.mark.parametrize("value", [
+RECORDS = [
     Segment(0, 1, 2, 3), W,
     ExactClipOutcome(False, (Fraction(1, 2), 2, 0.25, Decimal("3.5"))),
-    AlgorithmCheck(AlgorithmId.KWC, 1, 2, 3, (((0.0, 1.0, 2.0, 3.0), "reason"),)),
-])
+    CHECK, BenchConfig(), TIMING, REPORT, VerificationReport(0, 1, 0, (CHECK,)),
+]
+
+
+@pytest.mark.parametrize("value", RECORDS)
 def test_record_pickles_and_is_immutable(value):
     back = pickle.loads(pickle.dumps(value))
     assert back == value and type(back) is type(value)
@@ -109,6 +126,18 @@ def test_record_pickles_and_is_immutable(value):
         value.extra = 1
     with pytest.raises(AttributeError):
         setattr(value, value._fields[0], None)
+
+
+def test_every_record_is_in_both_tables():
+    # The records are the tuple types clipbench exports and AlgorithmCheck.
+    # Each one pickles above, and each that checks its fields on every
+    # construction path has a bad-field row.
+    records = {AlgorithmCheck} | {
+        value for value in map(clipbench.__dict__.get, clipbench.__all__)
+        if isinstance(value, type) and issubclass(value, tuple)}
+    assert records == {type(value) for value in RECORDS}
+    checked = {record for record in records if record._make.__func__ is _checked_make}
+    assert checked == {type(good) for good, _, _ in BAD_FIELDS}
 
 
 def test_outcome_ends_are_in_lowest_terms_on_every_construction_path():

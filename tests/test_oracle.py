@@ -309,15 +309,6 @@ def test_float_inputs_match_fraction_inputs(shift, scale, monkeypatch):
     ]
 
 
-def test_outputs_are_reduced_rationals_with_positive_denominators():
-    o = ExactClipOutcome.of((-200.5, -199.25, 200.125, 201.75), W)
-    assert o.accepted
-    for coord in o.ends:
-        assert isinstance(coord, Fraction)
-        assert coord.denominator > 0
-        assert math.gcd(coord.numerator, coord.denominator) == 1
-
-
 rational = st.fractions(
     min_value=Fraction(-1000), max_value=Fraction(1000), max_denominator=50
 )

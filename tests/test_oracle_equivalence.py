@@ -250,7 +250,7 @@ def test_seed_7_tallies_at_default_and_far_origin(shift):
     }
 
 
-KernelTally = namedtuple("KernelTally", "flips off worst_ulps breaks")
+KernelTally = namedtuple("KernelTally", "flips off worst_ulps breaks broken_rules")
 
 
 def oracle_tally(segments, window, verdicts=None):
@@ -261,13 +261,14 @@ def oracle_tally(segments, window, verdicts=None):
     grazing cases, the non-grazing exact accepts and, per kernel, a
     ``KernelTally``: non-grazing outcome flips, agreeing accepts more
     than 1e-9 off, the worst agreeing error in window ULPs (ULPs of the
-    largest window bound), and the accepts, grazing cases included, that
-    break the accept contract, ``verify._accept_fault``."""
+    largest window bound), the accepts, grazing cases included, that
+    break the accept contract, ``verify._accept_fault``, and the set of
+    rules it names for them."""
     ulp = math.ulp(max(map(abs, window)))
     if verdicts is None:
         exact_window = oracle._ExactWindow(window)
         verdicts = (clip_exact(seg, exact_window) for seg in segments)
-    tallies = {a: [0, 0, 0.0, 0] for a in AlgorithmId}
+    tallies = {a: [0, 0, 0.0, 0, set()] for a in AlgorithmId}
     grazing = accepts = 0
     for seg, verdict in zip(segments, verdicts, strict=True):
         grazed = verdict is oracle.GRAZING
@@ -277,8 +278,10 @@ def oracle_tally(segments, window, verdicts=None):
             res = kernel(*seg, *window)
             _check_mirrors(kernel, seg, window, res)
             tally = tallies[algo]
-            if res is not None:
-                tally[3] += verify._accept_fault(res, seg, window) is not None
+            fault = res is not None and verify._accept_fault(res, seg, window)
+            if fault:
+                tally[3] += 1
+                tally[4].add(fault)
             if grazed:
                 continue
             if (res is None) != (verdict is None):
@@ -321,7 +324,8 @@ def test_no_outcome_flips_and_endpoints_within_64_window_ulps(shift):
 # extent lie outside the padded window, up to 1.2e-7 out at 2^30 and
 # 0.125 at 2^50, and at 2^50 so do 9 of NLN's.  Those contract breaks are
 # ceilings per extent, and every kernel not named has none: a change may
-# lower a ceiling, not raise it.
+# lower a ceiling, not raise it.  Each ceiling stands for at least one
+# break, which the contract names as a point outside the padded window.
 _LB, _CB = AlgorithmId.LIANG_BARSKY, AlgorithmId.CYRUS_BECK
 LONG_SEGMENT_BREAK_CEILINGS = {30: {_LB: 596, _CB: 596}, 40: {_LB: 598, _CB: 598},
                                50: {_LB: 900, _CB: 900, AlgorithmId.NICHOLL_LEE_NICHOLL: 9}}
@@ -338,8 +342,11 @@ def test_no_outcome_flips_for_segments_up_to_2_50_times_the_window():
             segs.append((px - dx, py - dy, px + dx, py + dy))
         _, _, tallies = oracle_tally(segs, (-1.0, -1.0, 1.0, 1.0))
         ceilings = LONG_SEGMENT_BREAK_CEILINGS.get(k, {})
-        assert all(t.flips == 0 and t.breaks <= ceilings.get(a, 0)
+        assert all(t.flips == 0 and (0 < t.breaks <= ceilings[a] if a in ceilings
+                                     else t.breaks == 0)
                    for a, t in tallies.items()), (k, tallies)
+        assert all(t.broken_rules <= {"a point lies outside the padded window"}
+                   for t in tallies.values()), (k, tallies)
 
 
 def _near_edge_segments(seed, space, window, count):
