@@ -4,7 +4,7 @@ harness with csv/markdown/json reports."""
 
 from .geom import ClipWindow, Segment
 from .clippers import AlgorithmId, clip
-from .oracle import ExactClipOutcome, clip_exact
+from .oracle import clip_exact
 from .bench import (
     BenchConfig,
     BenchInvariantError,
@@ -26,7 +26,6 @@ __all__ = [
     "BenchInvariantError",
     "BenchReport",
     "ClipWindow",
-    "ExactClipOutcome",
     "RunTiming",
     "Segment",
     "VerificationReport",

@@ -20,17 +20,14 @@ lines that touch the closed window in exactly one point.
 non-grazing reject, ``GRAZING`` for every grazing case, and otherwise
 the accept's four coordinates as ``n / d`` of its unreduced integers,
 which is the nearest double because int true division is correctly
-rounded; it builds no outcome and no ``Fraction``.
-``ExactClipOutcome.of(seg, window)`` builds the exact record from the
-integer path alone, never the float filter below.  Every value stays
-exact up to one final rounding, so the oracle shares no arithmetic with
-any clipper.
+rounded; it builds no ``Fraction``.  Every value stays exact up to
+one final rounding, so the oracle shares no arithmetic with any clipper.
 
 A sweep clips many segments against one window, so the window can be
 prepared once: ``_ExactWindow`` validates the bounds, lifts them to
 integers over their least common denominator and records whether all
-four are exact ``float`` instances.  Both entry points take a prepared
-window or any bounds form, which they prepare per call.
+four are exact ``float`` instances.  ``clip_exact`` takes a prepared
+window or any bounds form, which it prepares per call.
 
 One fast path in ``clip_exact`` skips the integer lift.  When all eight
 coordinates are exact ``float`` instances, ``_certified_plain_reject``
@@ -50,68 +47,16 @@ iff the line's range is a single point.  A point segment's range is
 unbounded inside the closed window and empty outside it, and a cut at
 t = 0 or t = 1 already puts that endpoint in the closed window, so
 neither needs a branch of its own.
-
-An outcome is the pair ``(grazing, ends)``.  An accept's ``ends`` is
-the clip in the kernels' segment form, ``(x1, y1, x2, y2)``, as four
-``Fraction``s.  A reject has no ends, so ``accepted`` is derived,
-``ends is not None``, and no outcome can be an accept without endpoints
-or a reject with them.
 """
 
 from __future__ import annotations
 
-from collections import namedtuple
 from math import inf, lcm
 
-from .geom import _checked_make
-
-__all__ = ["GRAZING", "ExactClipOutcome", "clip_exact"]
+__all__ = ["GRAZING", "clip_exact"]
 
 # What clip_exact returns for every grazing case.
 GRAZING = object()
-
-
-class ExactClipOutcome(namedtuple("ExactClipOutcome", "grazing ends", defaults=(None,))):
-    """The grazing flag, plus an accept's exact clip.
-
-    An accept's ``ends = (x1, y1, x2, y2)`` is the clipped segment in
-    ``clip``'s order; a reject has ``ends=None``, and ``accepted`` is
-    ``ends is not None``.  However the outcome is built, ``ends`` must
-    hold exactly four coordinates, each made an exact ``Fraction`` in
-    lowest terms through its ``as_integer_ratio()``, so outcomes compare
-    and hash as tuples by exact value; a coordinate without one, such as
-    a str, raises TypeError.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, grazing: bool, ends: tuple | None = None):
-        if ends is not None:
-            from fractions import Fraction
-
-            x1, y1, x2, y2 = ends
-            ends = tuple(Fraction(n, d) for n, d in _ratios((x1, y1, x2, y2), "ends"))
-        return super().__new__(cls, grazing, ends)
-
-    @classmethod
-    def of(cls, seg, window) -> ExactClipOutcome:
-        """The exact outcome, from the integer path alone and never the
-        float filter; takes and raises what ``clip_exact`` does.  Each
-        ``Fraction`` is built once, in lowest terms, and the record
-        keeps it without the constructor's second lift."""
-        x1, y1, x2, y2 = seg
-        if type(window) is not _ExactWindow:
-            window = _ExactWindow(window)
-        grazing, ends = _clip_ints(x1, y1, x2, y2, window)
-        if ends is not None:
-            from fractions import Fraction
-
-            x1n, y1n, d1, x2n, y2n, d2 = ends
-            ends = Fraction(x1n, d1), Fraction(y1n, d1), Fraction(x2n, d2), Fraction(y2n, d2)
-        return super().__new__(cls, grazing, ends)
-
-    accepted = property(lambda self: self.ends is not None)
-    _make = classmethod(_checked_make)
 
 
 # Shewchuk's stage-A error bound for a float orient2d determinant,
@@ -119,15 +64,6 @@ class ExactClipOutcome(namedtuple("ExactClipOutcome", "grazing ends", defaults=(
 # underflow could void it.
 _ORIENT_ERRBOUND = (3.0 + 16.0 * 2.0**-53) * 2.0**-53
 _ORIENT_TINY = 2.0**-900
-
-
-def _ratios(values, name: str) -> list[tuple[int, int]]:
-    """Each value's exact ``as_integer_ratio()``; TypeError for a value
-    without one."""
-    try:
-        return [v.as_integer_ratio() for v in values]
-    except AttributeError:
-        raise TypeError(f"{name} must have an exact as_integer_ratio(), got {values!r}") from None
 
 
 class _ExactWindow:
@@ -147,7 +83,10 @@ class _ExactWindow:
     def __init__(self, bounds) -> None:
         xmin, ymin, xmax, ymax = bounds
         try:
-            ratios = _ratios((xmin, ymin, xmax, ymax), "window bounds")
+            ratios = [v.as_integer_ratio() for v in (xmin, ymin, xmax, ymax)]
+        except AttributeError:
+            raise TypeError("window bounds must have an exact as_integer_ratio(), "
+                            f"got {(xmin, ymin, xmax, ymax)!r}") from None
         except OverflowError:
             raise ValueError("window bounds must be finite") from None
         WL = lcm(*(d for _, d in ratios))

@@ -18,10 +18,10 @@ from clipbench.cli import main
 from clipbench.clippers import KERNELS, AlgorithmId
 from clipbench.clippers.skala import EDGE_TABLE, clip_coords as skala_clip
 from clipbench.geom import ClipWindow
-from clipbench.oracle import ExactClipOutcome
 from clipbench.verify import adversarial_segments
 
 import reference_timings as ref
+from exact import exact
 from test_clippers import _check_mirrors, _check_result
 from test_oracle_equivalence import REALIZABLE_MASKS, witness_segments
 
@@ -98,12 +98,12 @@ def test_criterion_5_skala_mask_validation():
     witnesses = witness_segments(WINDOW)
     assert set(witnesses) == REALIZABLE_MASKS
     for mask, seg in witnesses.items():
-        exact = ExactClipOutcome.of(seg, WINDOW)
+        grazing, ends = exact(seg, WINDOW)
         got = skala_clip(*seg, *WINDOW)
-        if exact.grazing:
+        if grazing:
             continue
-        if exact.accepted:
-            expected = tuple(float(v) for v in exact.ends)
+        if ends is not None:
+            expected = tuple(float(v) for v in ends)
             assert got is not None and got == pytest.approx(expected, abs=1e-9), (mask, seg)
         else:
             assert got is None, (mask, seg)

@@ -13,8 +13,9 @@ import clipbench.verify as verify_mod
 from clipbench.cli import format_double, main
 from clipbench.clippers import KERNELS, AlgorithmId
 from clipbench.geom import ClipWindow
-from clipbench.oracle import ExactClipOutcome
 from clipbench.verify import adversarial_segments
+
+from exact import exact
 
 VERIFY_LINE = re.compile(r"^\w+: \d+ match, \d+ grazing-exempt, (\d+) MISMATCH$")
 
@@ -483,7 +484,7 @@ def test_verify_corner_tangents_touch_their_corner_where_half_extents_round(
              (Fraction(seg[1]) + Fraction(seg[3])) / 2) in corners
     ]
     assert len(tangents) == 8
-    assert all(ExactClipOutcome.of(seg, window).grazing for seg in tangents)
+    assert all(exact(seg, window)[0] for seg in tangents)
     # On the window's scale: no longer than twice its extent on either axis.
     assert all(abs(seg[2] - seg[0]) <= 2 * (x1 - x0) and abs(seg[3] - seg[1]) <= 2 * (y1 - y0)
                for seg in tangents)

@@ -1,6 +1,4 @@
-import copy
 import math
-import pickle
 from decimal import Decimal
 from fractions import Fraction
 from itertools import product
@@ -12,8 +10,9 @@ from clipbench import oracle
 from clipbench.bench import _materialize
 from clipbench.clippers import AlgorithmId
 from clipbench.geom import ClipWindow, Segment
-from clipbench.oracle import ExactClipOutcome, _ExactWindow, clip_exact
+from clipbench.oracle import _ExactWindow, clip_exact
 from clipbench.verify import adversarial_segments
+from exact import exact
 from test_oracle_equivalence import oracle_tally
 
 W = (-100, -75, 100, 75)
@@ -25,20 +24,17 @@ class _FloatSubclass(float):
 
 
 def test_main_diagonal():
-    o = ExactClipOutcome.of((-200, -200, 200, 200), W)
-    assert o.accepted and not o.grazing
-    assert o.ends == (Fraction(-75), Fraction(-75), Fraction(75), Fraction(75))
+    assert exact((-200, -200, 200, 200), W) == (
+        False, (Fraction(-75), Fraction(-75), Fraction(75), Fraction(75)))
 
 
 def test_miss_above_corner():
-    o = ExactClipOutcome.of((-200, 0, 0, 200), W)
-    assert not o.accepted and not o.grazing
+    assert exact((-200, 0, 0, 200), W) == (False, None)
 
 
 def test_segment_on_top_boundary_edge():
-    o = ExactClipOutcome.of((-200, 75, 200, 75), W)
-    assert o.accepted and o.grazing
-    assert o.ends == (Fraction(-100), Fraction(75), Fraction(100), Fraction(75))
+    assert exact((-200, 75, 200, 75), W) == (
+        True, (Fraction(-100), Fraction(75), Fraction(100), Fraction(75)))
 
 
 # Points on and 1 ULP either side of each side of WF: the centre, the
@@ -54,39 +50,35 @@ _POINTS = [
 ]
 
 
-@pytest.mark.parametrize("exact", [False, True], ids=["float", "Fraction"])
+@pytest.mark.parametrize("as_fraction", [False, True], ids=["float", "Fraction"])
 @pytest.mark.parametrize("point", _POINTS, ids=[
     "centre", "corner-ll", "corner-lr", "corner-ur", "corner-ul",
     "mid-bottom", "mid-right", "mid-top", "mid-left",
     "left-in", "left-out", "right-in", "right-out",
     "bottom-in", "bottom-out", "top-in", "top-out",
 ])
-def test_degenerate_point_is_grazing(point, exact):
+def test_degenerate_point_is_grazing(point, as_fraction):
     # A point takes the interval route: its line range is unbounded inside
     # the closed window, which the cut makes [0, 1], and empty outside.
-    conv = Fraction if exact else float
+    conv = Fraction if as_fraction else float
     x, y = map(conv, point)
-    o = ExactClipOutcome.of((x, y, x, y), tuple(map(conv, WF)))
+    grazing, ends = exact((x, y, x, y), tuple(map(conv, WF)))
     if -100 <= x <= 100 and -75 <= y <= 75:
-        assert o.accepted and o.grazing
-        assert o.ends[:2] == o.ends[2:] == (Fraction(x), Fraction(y))
+        assert grazing and ends[:2] == ends[2:] == (Fraction(x), Fraction(y))
     else:
-        assert o == (False, None) and not o.accepted
+        assert (grazing, ends) == (False, None)
 
 
 def test_corner_tangent_line_flags_grazing_on_reject():
     # Touches only the top-left corner; the segment stops short of it.
-    o = ExactClipOutcome.of((-175, 0, -150, 25), W)
-    assert not o.accepted and o.grazing
+    assert exact((-175, 0, -150, 25), W) == (True, None)
     # Same line, covering the corner: single-point accept.
-    o2 = ExactClipOutcome.of((-175, 0, -50, 125), W)
-    assert o2.accepted and o2.grazing
-    assert o2.ends[:2] == o2.ends[2:] == (Fraction(-100), Fraction(75))
+    grazing, ends = exact((-175, 0, -50, 125), W)
+    assert grazing and ends[:2] == ends[2:] == (Fraction(-100), Fraction(75))
 
     def reject(seg, window, grazing):
         for s in (seg, (*seg[2:], *seg[:2])):  # both directions
-            o = ExactClipOutcome.of(s, window)
-            assert o == (grazing, None) and not o.accepted, s
+            assert exact(s, window) == (grazing, None), s
 
     # Each corner's 45-degree tangent line, stopping short before the
     # touch point and beyond it: the line's range in the window is that
@@ -126,9 +118,8 @@ def test_endpoint_on_boundary_is_grazing(end, grazing, first):
     # The other endpoint is inside, so the clip is the whole segment.
     other = (0.0, 0.0) if end[1] == 0.0 else (20.0, 30.0)
     seg = (*end, *other) if first else (*other, *end)
-    o = ExactClipOutcome.of(seg, WF)
-    assert o.accepted and o.grazing is grazing
-    assert o.ends == tuple(map(Fraction, seg))
+    got, ends = exact(seg, WF)
+    assert got is grazing and ends == tuple(map(Fraction, seg))
 
 
 @pytest.mark.parametrize("first", [True, False], ids=["p1", "p2"])
@@ -137,8 +128,8 @@ def test_endpoint_on_an_edge_line_outside_the_window_is_not_grazing(end, first):
     # The clip starts or ends strictly inside the segment, so the
     # endpoint's edge equality must not count.
     seg = (*end, 20.0, 30.0) if first else (20.0, 30.0, *end)
-    o = ExactClipOutcome.of(seg, WF)
-    assert o.accepted and not o.grazing
+    grazing, ends = exact(seg, WF)
+    assert ends is not None and not grazing
 
 
 def test_invalid_window_raises():
@@ -199,19 +190,15 @@ def test_float_corner_tangent_rejects(corner, shift):
         # Shifting both x by one ulp moves the line exactly, off the corner.
         seg = (x1 + moved * ulp, y1, x2 + moved * ulp, y2)
         for s in (seg, (*seg[2:], *seg[:2])):
-            o = ExactClipOutcome.of(s, window)
-            assert not o.accepted
-            assert o.grazing is (moved == 0)
-            assert o == ExactClipOutcome.of(
-                tuple(map(Fraction, s)), tuple(map(Fraction, window))
-            )
+            grazing, ends = exact(s, window)
+            assert ends is None and grazing is (moved == 0)
+            assert exact(tuple(map(Fraction, s)), tuple(map(Fraction, window))) == (grazing, None)
             assert clip_exact(s, window) is (oracle.GRAZING if moved == 0 else None)
 
 
 def test_accepts_segment_and_window_objects():
-    o = ExactClipOutcome.of(Segment(-200, -200, 200, 200), ClipWindow(*W))
-    assert o.accepted
-    assert o.ends[:2] == (Fraction(-75), Fraction(-75))
+    _, ends = exact(Segment(-200, -200, 200, 200), ClipWindow(*W))
+    assert ends is not None and ends[:2] == (Fraction(-75), Fraction(-75))
 
 
 SUITE = adversarial_segments(ClipWindow(*W)) + [
@@ -236,9 +223,9 @@ SUITE = adversarial_segments(ClipWindow(*W)) + [
 def test_window_forms_give_the_same_outcomes(bounds, form):
     # Equal bounds lift to the same integers whatever their types; compare
     # this form against the plain tuple twice, each call lifting afresh.
-    got = [ExactClipOutcome.of(seg, form(bounds)) for seg in SUITE]
-    assert got == [ExactClipOutcome.of(seg, bounds) for seg in SUITE]
-    assert got == [ExactClipOutcome.of(seg, bounds) for seg in SUITE]
+    got = [exact(seg, form(bounds)) for seg in SUITE]
+    assert got == [exact(seg, bounds) for seg in SUITE]
+    assert got == [exact(seg, bounds) for seg in SUITE]
     # clip_exact, float filter and all, gives each form those verdicts.
     assert [_verdict_bits(clip_exact(seg, form(bounds))) for seg in SUITE] == [
         _verdict(o) for o in got
@@ -253,10 +240,10 @@ def test_many_windows_give_repeatable_outcomes():
     segs = SUITE[::5]
     first = {}
     for w in windows:
-        first[w] = [ExactClipOutcome.of(seg, w) for seg in segs]
+        first[w] = [exact(seg, w) for seg in segs]
     for _ in range(2):
         for w in windows:
-            assert [ExactClipOutcome.of(seg, w) for seg in segs] == first[w]
+            assert [exact(seg, w) for seg in segs] == first[w]
             assert [_verdict_bits(clip_exact(seg, w)) for seg in segs] == [
                 _verdict(o) for o in first[w]
             ]
@@ -268,15 +255,13 @@ def test_decimal_segment_matches_equal_fractions():
     for window in (W, WF):
         for seg in SUITE:
             forms = [tuple(convert(v) for v in seg) for convert in (Fraction, Decimal, _FloatSubclass)]
-            as_fractions, as_decimals, as_subclass = (
-                ExactClipOutcome.of(form, window) for form in forms)
+            as_fractions, as_decimals, as_subclass = (exact(form, window) for form in forms)
             assert as_decimals == as_subclass == as_fractions
             for form in forms:
                 assert _verdict_bits(clip_exact(form, window)) == _verdict(as_fractions)
-    o = ExactClipOutcome.of(
+    grazing, ends = exact(
         (Decimal("-200.5"), Decimal("0.1"), Decimal("200.25"), Decimal("0.1")), W)
-    assert o.accepted and not o.grazing
-    assert o.ends[:2] == (Fraction(-100), Fraction(1, 10))
+    assert not grazing and ends[:2] == (Fraction(-100), Fraction(1, 10))
 
 
 @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6], ids=["x1e-6", "x1", "x1e6"])
@@ -305,7 +290,7 @@ def test_float_inputs_match_fraction_inputs(shift, scale, monkeypatch):
     assert len(interval_tests) == sum(type(v) is tuple for v in as_floats)
     as_floats += [clip_exact(seg, window) for seg in segs[len(randoms):]]
     assert [_verdict_bits(v) for v in as_floats] == [
-        _verdict(ExactClipOutcome.of(tuple(map(Fraction, seg)), frac_window)) for seg in segs
+        _verdict(exact(tuple(map(Fraction, seg)), frac_window)) for seg in segs
     ]
 
 
@@ -329,33 +314,28 @@ def exact_cases(draw):
 @given(exact_cases(), scales)
 def test_rescaling_invariance(case, scale):
     seg, window = case
-    base = ExactClipOutcome.of(seg, window)
-    scaled = ExactClipOutcome.of(
-        tuple(scale * v for v in seg), tuple(scale * v for v in window)
-    )
-    assert scaled.accepted == base.accepted
-    assert scaled.grazing == base.grazing
-    if base.accepted:
-        assert scaled.ends == tuple(scale * v for v in base.ends)
+    grazing, ends = exact(seg, window)
+    if ends is not None:
+        ends = tuple(scale * v for v in ends)
+    assert exact(tuple(scale * v for v in seg), tuple(scale * v for v in window)) == (
+        grazing, ends)
 
 
 @settings(max_examples=200, deadline=None)
 @given(exact_cases())
 def test_self_consistency_and_parametric_order(case):
     seg, window = case
-    o = ExactClipOutcome.of(seg, window)
-    if not o.accepted:
+    _, ends = exact(seg, window)
+    if ends is None:
         return
     # Endpoints in parametric order: the direction from the first to the
     # second must not oppose the input direction.
     dx = seg[2] - seg[0]
     dy = seg[3] - seg[1]
-    rdx = o.ends[2] - o.ends[0]
-    rdy = o.ends[3] - o.ends[1]
+    rdx = ends[2] - ends[0]
+    rdy = ends[3] - ends[1]
     assert rdx * dx + rdy * dy >= 0
-    again = ExactClipOutcome.of(o.ends, window)
-    assert again.accepted
-    assert again.ends == o.ends
+    assert exact(ends, window)[1] == ends
 
 
 @settings(max_examples=200, deadline=None)
@@ -363,48 +343,26 @@ def test_self_consistency_and_parametric_order(case):
     st.tuples(*(st.floats(-960, 960, allow_nan=False, allow_infinity=False),) * 4)
 )
 def test_double_round_trip_error_is_at_most_one_ulp(seg):
-    o = ExactClipOutcome.of(seg, W)
-    if not o.accepted:
+    _, ends = exact(seg, W)
+    if ends is None:
         return
     # float(fraction) equals the n / d that run_verification compares with
     # (test_float_ends_are_the_correctly_rounded_fractions).
-    for e in o.ends:
+    for e in ends:
         g = float(e)
         bound = Fraction(math.ulp(g)) if g else Fraction(5e-324)
         assert abs(Fraction(g) - e) <= bound
 
 
-def test_outcome_endpoints_are_reduced_fraction_pairs_and_immutable(monkeypatch):
-    # of builds each Fraction once, in lowest terms, and the record keeps
-    # it: the constructor's lift through as_integer_ratio() is not rerun.
-    window = _ExactWindow(W)
-    with monkeypatch.context() as patch:
-        patch.setattr(oracle, "_ratios", None)  # a call raises TypeError
-        outcomes = [ExactClipOutcome.of(seg, window) for seg in SUITE]
-    assert sum(o.accepted for o in outcomes) > 0
-    for o in outcomes:
-        assert o == ExactClipOutcome(*o)
-        if o.accepted:
-            assert type(o.ends) is tuple and [type(v) for v in o.ends] == [Fraction] * 4
-            assert all(v.denominator > 0 and math.gcd(v.numerator, v.denominator) == 1
-                       for v in o.ends)
-    o = ExactClipOutcome.of((-200.5, -199.25, 200.125, 201.75), W)
-    for name in ("accepted", "grazing", "ends", "extra"):
-        with pytest.raises(AttributeError):
-            setattr(o, name, None)
-        with pytest.raises(AttributeError):
-            delattr(o, name)
-    assert o.accepted and o.ends == ExactClipOutcome.of((-200.5, -199.25, 200.125, 201.75), W).ends
-
-
 def _verdict(outcome):
-    """The clip_exact verdict an exact outcome stands for, each double
-    as its bit pattern."""
-    if outcome.grazing:
+    """The clip_exact verdict an exact ``(grazing, ends)`` stands for,
+    each double as its bit pattern."""
+    grazing, ends = outcome
+    if grazing:
         return oracle.GRAZING
-    if outcome.ends is None:
+    if ends is None:
         return None
-    return [float(v).hex() for v in outcome.ends]
+    return [float(v).hex() for v in ends]
 
 
 def _verdict_bits(verdict):
@@ -419,62 +377,27 @@ def test_equal_outcomes_are_equal_values_whatever_the_input_types():
         converts = [float, Fraction, lambda v: Decimal(float(v))]
         if all(float(v).is_integer() for v in seg):
             converts.append(lambda v: int(float(v)))
-        outcomes = [ExactClipOutcome.of(tuple(map(convert, seg)), W) for convert in converts]
+        outcomes = [exact(tuple(map(convert, seg)), W) for convert in converts]
         assert outcomes[1:] == outcomes[:-1]
-        assert len({hash(o) for o in outcomes}) == 1
         # clip_exact gives every input type the verdict of the exact
         # outcome.
         for convert in converts:
             verdict = clip_exact(tuple(map(convert, seg)), W)
             assert _verdict_bits(verdict) == _verdict(outcomes[0]), (seg, convert)
-        o = outcomes[0]
-        # The same value as built from its Fraction ends, and hashed as
-        # the plain tuple of its fields.
-        rebuilt = ExactClipOutcome(o.grazing, o.ends)
-        assert rebuilt == o and hash(rebuilt) == hash(o)
-        assert hash(o) == hash((o.grazing, o.ends))
-        assert o == (o.grazing, o.ends)
-        assert pickle.loads(pickle.dumps(o)) == copy.copy(o) == o
-    assert ExactClipOutcome.of((-200, 0, 0, 200), W) != ExactClipOutcome.of(
-        (-200, -200, 200, 200), W)
-    assert ExactClipOutcome.of((5, 5, 5, 5), W) != ExactClipOutcome.of((6, 5, 6, 5), W)
-    assert repr(ExactClipOutcome.of((-200.0, -200.0, 0.0, 0.0), W)) == (
-        "ExactClipOutcome(grazing=False, "
-        "ends=(Fraction(-75, 1), Fraction(-75, 1), Fraction(0, 1), Fraction(0, 1)))"
-    )
-    assert repr(ExactClipOutcome.of((-200, 0, 0, 200), W)) == (
-        "ExactClipOutcome(grazing=False, ends=None)"
-    )
+    assert exact((-200, 0, 0, 200), W) != exact((-200, -200, 200, 200), W)
+    assert exact((5, 5, 5, 5), W) != exact((6, 5, 6, 5), W)
 
 
-def test_outcome_accepts_exactly_when_it_has_ends():
-    # An outcome is (grazing, ends); accepted is derived from ends, so no
-    # accept lacks endpoints and no reject carries them.
-    assert ExactClipOutcome._fields == ("grazing", "ends")
-    accept = ExactClipOutcome.of((-200, -200, 200, 200), W)
-    outcomes = [
-        ExactClipOutcome(False), ExactClipOutcome(True), accept,
-        ExactClipOutcome(False)._replace(ends=(1, 2, 3, 4)), accept._replace(ends=None),
-    ]
-    assert [o.accepted for o in outcomes] == [False, False, True, True, False]
-    for o in outcomes:
-        assert o.accepted is (o.ends is not None)
-    with pytest.raises(TypeError):
-        ExactClipOutcome(True, False, (1, 2, 3, 4))
-    # Ends that are no segment raise on every construction path, as
-    # clip_exact raises for the same segment.
-    for ends, error in (((1, 2, 3), ValueError), ((1, 2, 3, 4, 5), ValueError),
-                        ((1, math.nan, 3, 4), ValueError), ((1, 2, math.inf, 4), OverflowError),
-                        ((1, 2, 3, Decimal("-Infinity")), OverflowError),
-                        ((Decimal("NaN"), 2, 3, 4), ValueError), (("1", 2, 3, 4), TypeError),
-                        ((1, 2, 3, None), TypeError), ((1, 2, 3, 1j), TypeError)):
-        with pytest.raises(error) as raised:
-            clip_exact(ends, W)
-        for build in (lambda: ExactClipOutcome(False, ends),
-                      lambda: ExactClipOutcome._make((False, ends)),
-                      lambda: accept._replace(ends=ends)):
-            with pytest.raises(raised.type):
-                build()
+@pytest.mark.parametrize("seg, error", [
+    ((1, 2, 3), ValueError), ((1, 2, 3, 4, 5), ValueError),
+    ((1, math.nan, 3, 4), ValueError), ((1, 2, math.inf, 4), OverflowError),
+    ((1, 2, 3, Decimal("-Infinity")), OverflowError),
+    ((Decimal("NaN"), 2, 3, 4), ValueError), (("1", 2, 3, 4), TypeError),
+    ((1, 2, 3, None), TypeError), ((1, 2, 3, 1j), TypeError),
+])
+def test_bad_segment_raises_its_error_type(seg, error):
+    with pytest.raises(error):
+        clip_exact(seg, W)
 
 
 @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6], ids=["x1e-6", "x1", "x1e6"])
@@ -487,15 +410,15 @@ def test_float_ends_are_the_correctly_rounded_fractions(shift, scale):
     randoms, _ = _materialize(13, space, 3000)
     accepts = 0
     for seg in randoms + adversarial_segments(window):
-        o = ExactClipOutcome.of(seg, window)
+        o = exact(seg, window)
         assert _verdict_bits(clip_exact(seg, window)) == _verdict(o)
-        accepts += o.accepted
+        accepts += o[1] is not None
     assert accepts > 300
 
 
 def test_exact_outcome_never_runs_the_float_filter(monkeypatch):
-    # The exact record is the reference the float filter is checked
-    # against, so it must come from the integer path alone.
+    # The exact reference is what the float filter is checked against,
+    # so it must come from the integer path alone.
     randoms, _ = _materialize(19, ClipWindow(-960.0, -720.0, 960.0, 720.0), 2000)
     segs = SUITE + randoms
     verdicts = [_verdict_bits(clip_exact(seg, WF)) for seg in segs]
@@ -507,7 +430,7 @@ def test_exact_outcome_never_runs_the_float_filter(monkeypatch):
     with pytest.raises(AssertionError, match="the float filter ran"):
         clip_exact(randoms[0], WF)
     for window in (WF, _ExactWindow(WF)):
-        assert [_verdict(ExactClipOutcome.of(seg, window)) for seg in segs] == verdicts
+        assert [_verdict(exact(seg, window)) for seg in segs] == verdicts
 
 
 def test_prepared_window_rejects_bad_bounds():
@@ -543,8 +466,8 @@ def test_prepared_window_gives_the_outcomes_of_its_bounds():
     ):
         prepared = _ExactWindow(bounds)
         assert prepared.floats is floats
-        outcomes = [ExactClipOutcome.of(seg, bounds) for seg in SUITE]
-        assert [ExactClipOutcome.of(seg, prepared) for seg in SUITE] == outcomes
+        outcomes = [exact(seg, bounds) for seg in SUITE]
+        assert [exact(seg, prepared) for seg in SUITE] == outcomes
         assert [_verdict_bits(clip_exact(seg, prepared)) for seg in SUITE] == [
             _verdict_bits(clip_exact(seg, bounds)) for seg in SUITE
         ] == [_verdict(o) for o in outcomes]
@@ -658,7 +581,7 @@ def test_unrolled_certified_reject_matches_the_loop_form(shift, scale):
             # certifies; every finite certified input is an exact
             # non-grazing reject.
             assert all(map(math.isfinite, seg + w)), (seg, w)
-            assert ExactClipOutcome.of(seg, w) == ExactClipOutcome(False), (seg, w)
+            assert exact(seg, w) == (False, None), (seg, w)
         results.append(got)
     # Both answers occur, so the checks are not vacuous.
     assert True in results and False in results
@@ -666,7 +589,7 @@ def test_unrolled_certified_reject_matches_the_loop_form(shift, scale):
     edges = [(seg, window) for seg in _predicate_edge_cases(window)] + _underflow_guard_cases()
     for seg, w in edges:
         if all(map(math.isfinite, seg)):
-            assert _verdict_bits(clip_exact(seg, w)) == _verdict(ExactClipOutcome.of(seg, w)), seg
+            assert _verdict_bits(clip_exact(seg, w)) == _verdict(exact(seg, w)), seg
 
 
 def _boundary_lattice(window):
@@ -713,11 +636,11 @@ def test_certified_reject_on_the_boundary_lattice(shift):
         got = oracle._certified_plain_reject(*seg, *window)
         loop = _loop_certified_plain_reject(*seg, *window)
         assert got or not loop, seg
-        exact = ExactClipOutcome.of(seg, exact_window)
+        reference = exact(seg, exact_window)
         if got:
-            assert exact == ExactClipOutcome(False), seg
+            assert reference == (False, None), seg
         verdicts.append(clip_exact(seg, exact_window))
-        assert _verdict_bits(verdicts[-1]) == _verdict(exact), seg
+        assert _verdict_bits(verdicts[-1]) == _verdict(reference), seg
         certified += got
         loop_certified += loop
     assert certified >= loop_certified > 0

@@ -15,7 +15,7 @@ from clipbench import bench, oracle, verify
 from clipbench.bench import _materialize
 from clipbench.clippers import KERNELS, AlgorithmId
 from clipbench.geom import ClipWindow, require_window_in_space
-from clipbench.oracle import ExactClipOutcome, clip_exact
+from clipbench.oracle import clip_exact
 from clipbench.verify import (
     AlgorithmCheck,
     VerificationReport,
@@ -23,6 +23,7 @@ from clipbench.verify import (
     run_verification,
 )
 
+from exact import exact
 from test_clippers import _check_mirrors
 
 SPACE = ClipWindow(-960.0, -720.0, 960.0, 720.0)
@@ -69,24 +70,24 @@ def _row_wise_report(cases, seed, space, window, kernels):
     failures = {a: [] for a in AlgorithmId}
     random_grazing = 0
     for idx, seg in enumerate(random_buf + suite):
-        exact = ExactClipOutcome.of(seg, window)
-        random_grazing += exact.grazing and idx < cases
+        grazing, ends = exact(seg, window)
+        random_grazing += grazing and idx < cases
         for a in AlgorithmId:
             res = kernel_map[a](*seg, *window)
-            if exact.grazing:
+            if grazing:
                 fault = res is not None and verify._accept_fault(res, seg, window)
                 if fault:
                     failures[a].append((seg, f"grazing accept breaks the accept contract: {fault}"))
                 else:
                     grazing_exempt[a] += 1
-            elif not exact.accepted:
+            elif ends is None:
                 if res is None:
                     matches[a] += 1
                 else:
                     failures[a].append((seg, "accepts where the exact clipper rejects"))
             elif res is None:
                 failures[a].append((seg, "rejects where the exact clipper accepts"))
-            elif not all(abs(r - float(e)) <= 1e-9 for r, e in zip(res, exact.ends)):
+            elif not all(abs(r - float(e)) <= 1e-9 for r, e in zip(res, ends)):
                 failures[a].append((seg, "accepted endpoints differ from the exact clip"))
             else:
                 matches[a] += 1
@@ -120,7 +121,7 @@ def test_nan_endpoints_never_match():
     report = run_verification(2000, 1, SPACE, WINDOW, kernels=kernels)
     stream, _ = _materialize(1, SPACE, 2000)
     cases = stream + adversarial_segments(WINDOW)
-    accepts = sum(ExactClipOutcome.of(seg, WINDOW).accepted for seg in cases)
+    accepts = sum(exact(seg, WINDOW)[1] is not None for seg in cases)
     nan = report.checks[-1]
     assert nan.algorithm is AlgorithmId.PROPOSED
     assert (nan.matches, nan.grazing_exempt, nan.mismatches) == (len(cases) - accepts, 0, accepts)
@@ -401,11 +402,11 @@ def test_near_edge_family_tallies_are_pinned(shift):
     # rarely reaches: clip_exact's verdict must be the exact outcome's,
     # bit for bit.
     for seg, verdict in zip(segs, verdicts):
-        exact = ExactClipOutcome.of(seg, exact_window)
-        if exact.grazing:
+        grazing, ends = exact(seg, exact_window)
+        if grazing:
             assert verdict is oracle.GRAZING
-        elif exact.accepted:
-            assert [v.hex() for v in verdict] == [float(v).hex() for v in exact.ends]
+        elif ends is not None:
+            assert [v.hex() for v in verdict] == [float(v).hex() for v in ends]
         else:
             assert verdict is None
     grazing, accepts, tallies = oracle_tally(segs, window, verdicts)

@@ -16,7 +16,6 @@ PACKAGE_SURFACE = [
     "BenchInvariantError",
     "BenchReport",
     "ClipWindow",
-    "ExactClipOutcome",
     "RunTiming",
     "Segment",
     "VerificationReport",

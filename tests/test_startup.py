@@ -2,11 +2,11 @@
 
 ``hashlib`` (which loads OpenSSL), ``fractions``, ``decimal``,
 ``typing``, ``dataclasses`` and ``inspect`` stay out of a fresh process
-that imports the CLI and both harnesses.  ``ExactClipOutcome`` imports
-``Fraction`` when it builds an accept, and markdown rendering imports
-``Decimal``; only a cold process can exercise those first uses, since
-this test process has imported both long before.  A ``verify`` sweep
-loads neither.
+that imports the CLI and both harnesses.  No clipbench path imports
+``fractions``: not a ``verify`` sweep, not ``clip_exact`` on an accept
+from float or int inputs, not markdown rendering.  Markdown rendering
+imports ``Decimal`` on first use.  Only a cold process can see these,
+since this test process has imported both long before.
 """
 
 import hashlib
@@ -33,18 +33,18 @@ assert not loaded, f"loaded at start-up: {loaded}"
 assert cli.main(["verify", "--cases", "10"]) == 0
 assert not {"fractions", "decimal"} & set(sys.modules), "loaded by verify"
 
-from fractions import Fraction
+from clipbench.oracle import clip_exact
 
-from clipbench.geom import ClipWindow
-from clipbench.oracle import ExactClipOutcome
-
-outcome = ExactClipOutcome.of((-200.0, 0.5, 200.0, 0.5), ClipWindow(-100.0, -75.0, 100.0, 75.0))
-assert outcome.accepted
-assert outcome.ends == (Fraction(-100), Fraction(1, 2), Fraction(100), Fraction(1, 2)), outcome
-assert [type(v) for v in outcome.ends] == [Fraction] * 4, outcome
+for seg, window, clipped in (
+    ((-200.0, 0.5, 200.0, 0.5), (-100.0, -75.0, 100.0, 75.0), (-100.0, 0.5, 100.0, 0.5)),
+    ((-200, -200, 200, 200), (-100, -75, 100, 75), (-75.0, -75.0, 75.0, 75.0)),
+):
+    assert clip_exact(seg, window) == clipped, seg
+    assert "fractions" not in sys.modules, f"loaded by clip_exact{seg}"
 
 code = cli.main(["bench", "--lines", "10", "--reps", "1", "--format", "md"])
 assert code == 0, code
+assert "fractions" not in sys.modules, "loaded by bench"
 """
 
 
