@@ -99,8 +99,9 @@ def test_bad_record_raises_on_every_construction_path(good, name, bad, path):
 
 
 RECORDS = [
-    Segment(0, 1, 2, 3), W, VerificationReport(0, 1, 0, (CHECK,)),
-    CHECK, BenchConfig(), TIMING, REPORT,
+    Segment(0, 1, 2, 3), W,
+    Segment(Fraction(1, 3), -0.0, 5e-324, 2**53 + 1),  # fields lifted to doubles
+    CHECK, BenchConfig(), TIMING, REPORT, VerificationReport(0, 1, 0, (CHECK,)),
 ]
 
 
